@@ -2,7 +2,10 @@ package lattice
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 func seqSet(author int, lo, hi int) Set {
@@ -159,9 +162,9 @@ func TestCompactedMinusDeltaJSON(t *testing.T) {
 	if d := anchored.Minus(seqSet(0, 0, 65)); len(d) != 5 {
 		t.Fatalf("anchored Minus = %d items, want 5", len(d))
 	}
-	items, bd, ok := anchored.Delta(seqSet(0, 0, 60))
-	if !ok || len(items) != 10 || bd != seqSet(0, 0, 60).Digest() {
-		t.Fatal("Delta over anchored set wrong")
+	items, ok := anchored.AppendDelta(nil, seqSet(0, 0, 60))
+	if !ok || len(items) != 10 {
+		t.Fatal("AppendDelta over anchored set wrong")
 	}
 	if got := ApplyDelta(seqSet(0, 0, 60), items); !got.Equal(flat) {
 		t.Fatal("ApplyDelta did not reconstruct")
@@ -211,5 +214,74 @@ func TestEachMatchesItems(t *testing.T) {
 	s.Each(func(Item) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("Each ignored early stop: %d", n)
+	}
+}
+
+// TestQuickAppendDeltaMatchesNaive checks the O(delta) extraction
+// against the definitions it replaces, over every operand mix the wire
+// codec meets: flat, anchored on one base, anchored on different bases,
+// and one side of each. AppendDelta must succeed exactly when base ⊆ s —
+// so a failed digest identity implies !base.SubsetOf(s) and a passed
+// one never admits a non-subset — and then return s \ base in canonical
+// order, i.e. what the naive merge walk returns. Sets are large enough
+// (hundreds of items, deltas of a few) that the galloping path runs.
+func TestQuickAppendDeltaMatchesNaive(t *testing.T) {
+	pick := func(rng *rand.Rand, from, n int) Set {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{Author: 1, Body: fmt.Sprintf("k%05d", from+rng.Intn(600))}
+		}
+		return FromItems(items...)
+	}
+	naiveMinus := func(s, t Set) []Item {
+		var out []Item
+		for _, it := range s.Items() {
+			if !t.Contains(it) {
+				out = append(out, it)
+			}
+		}
+		return out
+	}
+	f := func(seed int64, shapeS, shapeB, grow uint8, related bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		prefix := seqSet(0, 0, 300)
+		deep := prefix.Union(seqSet(0, 300, 350))
+		anchors := []*Base{nil, NewBase(prefix), NewBase(deep)}
+		base := deep.Union(pick(rng, 1000, 200))
+		s := deep.Union(pick(rng, 1000, 200))
+		if related {
+			s = base.Union(pick(rng, 1000, int(grow%8)))
+			if grow%16 >= 8 { // not quite a superset: one item of base missing
+				its := base.Items()
+				drop := deep.Len() + rng.Intn(len(its)-deep.Len()) // beyond every anchor
+				s = FromItems(append(its[:drop:drop], its[drop+1:]...)...).Union(pick(rng, 2000, 1+int(grow%8)))
+			}
+		}
+		var ok bool
+		if a := anchors[shapeS%3]; a != nil {
+			if s, ok = s.Rebase(a); !ok {
+				return false
+			}
+		}
+		if a := anchors[shapeB%3]; a != nil {
+			if base, ok = base.Rebase(a); !ok {
+				return false
+			}
+		}
+		dst := []Item{{Author: 9, Body: "kept"}}
+		got, ok := s.AppendDelta(dst, base)
+		if ok != base.SubsetOf(s) || len(got) < 1 || got[0] != dst[0] {
+			return false
+		}
+		if !ok {
+			return len(got) == 1
+		}
+		want := naiveMinus(s, base)
+		return reflect.DeepEqual(got[1:], append([]Item{}, want...)) &&
+			reflect.DeepEqual(append([]Item{}, s.Minus(base)...), append([]Item{}, want...)) &&
+			ApplyDelta(base, got[1:]).Equal(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -114,8 +114,14 @@ func Singleton(it Item) Set {
 
 // FromItems builds a Set from arbitrary items (deduplicated, sorted).
 func FromItems(items ...Item) Set {
+	out := sortedUnique(items)
+	return Set{items: out, dig: digestOf(out)}
+}
+
+// sortedUnique returns a sorted duplicate-free copy of items.
+func sortedUnique(items []Item) []Item {
 	if len(items) == 0 {
-		return Set{}
+		return nil
 	}
 	cp := make([]Item, len(items))
 	copy(cp, items)
@@ -126,7 +132,7 @@ func FromItems(items ...Item) Set {
 			out = append(out, it)
 		}
 	}
-	return Set{items: out, dig: digestOf(out)}
+	return out
 }
 
 // FromStrings builds a Set of items authored by author, one per body.
@@ -485,33 +491,38 @@ func (s Set) Comparable(t Set) bool {
 	return s.SubsetOf(t) || t.SubsetOf(s)
 }
 
-// Minus returns the items of s not in t (a single merge pass over the
-// logical sequences; set difference is not a lattice operation and is
-// never used by protocols to shrink proposals — it feeds diagnostics,
-// delta encoding and checkpoint rebasing).
-func (s Set) Minus(t Set) []Item {
-	var out []Item
+// Minus returns the items of s not in t. Set difference is not a
+// lattice operation and is never used by protocols to shrink proposals —
+// it feeds diagnostics, WAL deltas and checkpoint rebasing. Operands of
+// one shape merge-walk their windows only; mixed representations walk
+// both logical sequences. The wire codec uses AppendDelta instead.
+func (s Set) Minus(t Set) []Item { return s.appendMinus(nil, t) }
+
+// sameShape reports that s and t differ only in their windows.
+func sameShape(s, t Set) bool {
+	return sameBase(s, t) || s.base == nil && t.base == nil
+}
+
+func (s Set) appendMinus(dst []Item, t Set) []Item {
 	si, ti := s.iter(), t.iter()
+	if sameShape(s, t) {
+		si, ti = itemIter{b: s.items}, itemIter{b: t.items}
+	}
 	sv, sok := si.next()
 	tv, tok := ti.next()
 	for sok {
-		if !tok {
-			out = append(out, sv)
-			sv, sok = si.next()
-			continue
-		}
 		switch {
-		case sv == tv:
+		case tok && sv == tv:
 			sv, sok = si.next()
 			tv, tok = ti.next()
-		case sv.Less(tv):
-			out = append(out, sv)
+		case !tok || sv.Less(tv):
+			dst = append(dst, sv)
 			sv, sok = si.next()
 		default:
 			tv, tok = ti.next()
 		}
 	}
-	return out
+	return dst
 }
 
 // Digest returns the cached content digest of the set (O(1)). The
@@ -590,6 +601,9 @@ func (s Set) BaseInfo() (dig Digest, n int, ok bool) {
 	return s.base.set.dig, s.base.Len(), true
 }
 
+// Anchor returns the base s is anchored on (nil for flat sets).
+func (s Set) Anchor() *Base { return s.base }
+
 // WindowLen returns the number of items beyond the base (the whole set
 // for flat sets).
 func (s Set) WindowLen() int { return len(s.items) }
@@ -601,23 +615,95 @@ func (s Set) Window() []Item {
 	return out
 }
 
-// Delta computes the delta encoding of s against base: the items of s
-// missing from base, plus base's digest as the reference the receiver
-// must resolve. Delta encoding is only sound when base ⊆ s (values are
+// AppendDelta appends the delta encoding of s against base — the items
+// of s missing from base, in canonical order — to dst and reports
+// whether base ⊆ s. Delta encoding is only sound then (values are
 // monotone joins, so in steady state every retransmitted set extends an
-// earlier one); ok reports that, and callers must fall back to full
-// transmission when it is false.
-func (s Set) Delta(base Set) (items []Item, baseDigest Digest, ok bool) {
-	if !base.SubsetOf(s) {
-		return nil, Digest{}, false
+// earlier one); otherwise dst comes back unchanged and the caller must
+// fall back to full transmission.
+//
+// The cost follows what changed, not the history. Equal digests answer
+// in O(1). Operands of one shape take d = |s|−|base| galloping searches
+// over the windows, O(d·log|window|) comparisons, to find the only
+// candidates, and d item hashes to prove them: the additive-digest
+// identity base.dig + Σ hash(delta) == s.dig holds iff base ⊆ s. Only
+// mixed representations (or a delta that is most of the window) walk.
+func (s Set) AppendDelta(dst []Item, base Set) ([]Item, bool) {
+	d := s.Len() - base.Len()
+	if d <= 0 {
+		return dst, d == 0 && s.dig == base.dig
 	}
-	return s.Minus(base), base.dig, true
+	switch {
+	case s.base != nil && s.base.set.dig == base.dig:
+		return append(dst, s.items...), true // base is s's own anchor
+	case sameShape(s, base) && d*16 <= len(s.items):
+		mark := len(dst)
+		dst = appendExtras(dst, s.items, base.items)
+		sum := base.dig
+		for _, it := range dst[mark:] {
+			sum.add(itemHash(it))
+		}
+		if sum != s.dig {
+			return dst[:mark], false
+		}
+		return dst, true
+	case !base.SubsetOf(s):
+		return dst, false
+	}
+	return s.appendMinus(dst, base), true
 }
 
-// ApplyDelta reconstructs base ⊕ items, the inverse of Delta: for any
-// base ⊆ s, ApplyDelta(base, Delta-items) == s.
+// appendExtras appends the len(a)−len(b) items of a that are not in b,
+// given sorted duplicate-free slices with b ⊆ a: between two extras a
+// and b run in lockstep, so each is found by galloping over the common
+// run. When b ⊄ a the result is as many arbitrary items of a, which the
+// caller's digest check rejects.
+func appendExtras(dst, a, b []Item) []Item {
+	for len(a) > len(b) {
+		k := matchLen(a, b)
+		if k == len(b) {
+			return append(dst, a[k:]...)
+		}
+		dst = append(dst, a[k])
+		a, b = a[k+1:], b[k:]
+	}
+	return dst
+}
+
+// matchLen returns the first index at which a and b differ (len(b) when
+// b is a prefix of a; len(a) ≥ len(b)), by exponential then binary
+// search: with b ⊆ a, a[i] == b[i] holds exactly up to the first extra.
+func matchLen(a, b []Item) int {
+	if len(b) == 0 || a[0] != b[0] {
+		return 0
+	}
+	lo, step := 0, 1 // a[lo] == b[lo]
+	for lo+step < len(b) && a[lo+step] == b[lo+step] {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(b)) // a[hi] != b[hi], or hi == len(b)
+	for lo+1 < hi {
+		if mid := (lo + hi) / 2; a[mid] == b[mid] {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// ApplyDelta reconstructs base ∪ items, the inverse of AppendDelta: for
+// any base ⊆ s, ApplyDelta(base, s \ base) == s. items arrive off the
+// wire, in any order. The result keeps base's anchor, so a chain of
+// deltas over an anchored set costs O(window + delta) per link.
 func ApplyDelta(base Set, items []Item) Set {
-	return base.Union(FromItems(items...))
+	w := Set{items: sortedUnique(items)}.windowBeyond(base.base)
+	if len(w) == 0 {
+		return base
+	}
+	out, dig := unionWindows(base.items, w, base.dig)
+	return Set{items: out, dig: dig, base: base.base}
 }
 
 // String renders "{p0:a, p1:b}".

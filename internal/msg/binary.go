@@ -75,39 +75,45 @@ func EncodeBinary(m Msg) ([]byte, error) {
 // AppendBinary appends m's binary frame to dst and returns the extended
 // buffer, so callers with pooled scratch buffers encode without
 // allocating.
-func AppendBinary(dst []byte, m Msg) ([]byte, error) {
+func AppendBinary(dst []byte, m Msg) ([]byte, error) { return appendBinary(dst, m, false) }
+
+// appendBinary is AppendBinary; with strip set it encodes m's primary
+// set (PrimarySet) as ⊥, i.e. it emits the frame of
+// WithPrimarySet(m, ⊥) without building that copy — the inner message
+// of a delta frame, whose set travels in the frame's sidecar.
+func appendBinary(dst []byte, m Msg, strip bool) ([]byte, error) {
 	switch v := m.(type) {
 	case Disclosure:
 		dst = append(dst, BinMagic, binDisclosure)
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Value), nil
+		return appendPrimary(dst, v.Value, strip), nil
 	case AckReq:
 		dst = append(dst, BinMagic, binAckReq)
 		dst = binary.AppendUvarint(dst, uint64(v.TS))
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Proposed), nil
+		return appendPrimary(dst, v.Proposed, strip), nil
 	case Ack:
 		dst = append(dst, BinMagic, binAck)
 		dst = binary.AppendUvarint(dst, uint64(v.TS))
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Accepted), nil
+		return appendPrimary(dst, v.Accepted, strip), nil
 	case Nack:
 		dst = append(dst, BinMagic, binNack)
 		dst = binary.AppendUvarint(dst, uint64(v.TS))
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Accepted), nil
+		return appendPrimary(dst, v.Accepted, strip), nil
 	case AckB:
 		dst = append(dst, BinMagic, binAckB)
 		dst = binary.AppendVarint(dst, int64(v.Dest))
 		dst = binary.AppendUvarint(dst, uint64(v.TS))
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Accepted), nil
+		return appendPrimary(dst, v.Accepted, strip), nil
 	case RBCSend:
-		return appendRBC(dst, binRBCSend, v.Src, v.Tag, v.Payload)
+		return appendRBC(dst, binRBCSend, v.Src, v.Tag, v.Payload, strip)
 	case RBCEcho:
-		return appendRBC(dst, binRBCEcho, v.Src, v.Tag, v.Payload)
+		return appendRBC(dst, binRBCEcho, v.Src, v.Tag, v.Payload, strip)
 	case RBCReady:
-		return appendRBC(dst, binRBCReady, v.Src, v.Tag, v.Payload)
+		return appendRBC(dst, binRBCReady, v.Src, v.Tag, v.Payload, strip)
 	case NewValue:
 		dst = append(dst, BinMagic, binNewValue)
 		dst = binary.AppendVarint(dst, int64(v.Cmd.Author))
@@ -115,13 +121,13 @@ func AppendBinary(dst []byte, m Msg) ([]byte, error) {
 	case Decide:
 		dst = append(dst, BinMagic, binDecide)
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		return appendSet(dst, v.Value), nil
+		return appendPrimary(dst, v.Value, strip), nil
 	case CnfReq:
 		dst = append(dst, BinMagic, binCnfReq)
-		return appendSet(dst, v.Value), nil
+		return appendPrimary(dst, v.Value, strip), nil
 	case CnfRep:
 		dst = append(dst, BinMagic, binCnfRep)
-		return appendSet(dst, v.Value), nil
+		return appendPrimary(dst, v.Value, strip), nil
 	case InitVal:
 		dst = append(dst, BinMagic, binInitVal)
 		return appendSignedValue(dst, v.SV), nil
@@ -153,14 +159,14 @@ func AppendBinary(dst []byte, m Msg) ([]byte, error) {
 		return appendProofValues(dst, v.Values), nil
 	case SignedAck:
 		dst = append(dst, BinMagic, binSignedAck)
-		return appendSignedAck(dst, v), nil
+		return appendSignedAck(dst, v, strip), nil
 	case DecidedCert:
 		dst = append(dst, BinMagic, binDecidedCert)
 		dst = binary.AppendVarint(dst, int64(v.Round))
-		dst = appendSet(dst, v.Value)
+		dst = appendPrimary(dst, v.Value, strip)
 		dst = binary.AppendUvarint(dst, uint64(len(v.Acks)))
 		for _, a := range v.Acks {
-			dst = appendSignedAck(dst, a)
+			dst = appendSignedAck(dst, a, false)
 		}
 		return dst, nil
 	case Wakeup:
@@ -172,7 +178,7 @@ func AppendBinary(dst []byte, m Msg) ([]byte, error) {
 	case ShardMsg:
 		dst = append(dst, BinMagic, binShard)
 		dst = binary.AppendVarint(dst, int64(v.Shard))
-		return AppendBinary(dst, v.Inner)
+		return appendBinary(dst, v.Inner, strip)
 	case CkptProp:
 		dst = append(dst, BinMagic, binCkptProp)
 		dst = binary.AppendVarint(dst, int64(v.Epoch))
@@ -206,7 +212,7 @@ func AppendBinary(dst []byte, m Msg) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return appendSet(dst, v.Value), nil
+		return appendPrimary(dst, v.Value, strip), nil
 	case DeltaNack:
 		dst = append(dst, BinMagic, binDeltaNack)
 		return binary.AppendUvarint(dst, v.Seq), nil
@@ -215,11 +221,11 @@ func AppendBinary(dst []byte, m Msg) ([]byte, error) {
 	}
 }
 
-func appendRBC(dst []byte, code byte, src ident.ProcessID, tag string, payload Msg) ([]byte, error) {
+func appendRBC(dst []byte, code byte, src ident.ProcessID, tag string, payload Msg, strip bool) ([]byte, error) {
 	dst = append(dst, BinMagic, code)
 	dst = binary.AppendVarint(dst, int64(src))
 	dst = appendString(dst, tag)
-	return AppendBinary(dst, payload)
+	return appendBinary(dst, payload, strip)
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -249,6 +255,24 @@ func (w *setAppender) add(it lattice.Item) bool {
 func appendSet(dst []byte, s lattice.Set) []byte {
 	w := setAppender{buf: binary.AppendUvarint(dst, uint64(s.Len()))}
 	s.Each(w.add)
+	return w.buf
+}
+
+// appendPrimary encodes a message's primary set, as ⊥ when strip is set.
+func appendPrimary(dst []byte, s lattice.Set, strip bool) []byte {
+	if strip {
+		return append(dst, 0)
+	}
+	return appendSet(dst, s)
+}
+
+// appendItems encodes items, which must be in canonical order, in the
+// layout of appendSet.
+func appendItems(dst []byte, items []lattice.Item) []byte {
+	w := setAppender{buf: binary.AppendUvarint(dst, uint64(len(items)))}
+	for _, it := range items {
+		w.add(it)
+	}
 	return w.buf
 }
 
@@ -286,8 +310,8 @@ func appendProofValues(dst []byte, pvs []ProofValue) []byte {
 	return dst
 }
 
-func appendSignedAck(dst []byte, a SignedAck) []byte {
-	dst = appendSet(dst, a.Accepted)
+func appendSignedAck(dst []byte, a SignedAck, strip bool) []byte {
+	dst = appendPrimary(dst, a.Accepted, strip)
 	dst = binary.AppendVarint(dst, int64(a.Dest))
 	dst = binary.AppendUvarint(dst, uint64(a.TS))
 	dst = binary.AppendVarint(dst, int64(a.Round))
@@ -455,15 +479,20 @@ func (r *binReader) digest(what string) lattice.Digest {
 	return d
 }
 
-// set decodes an item sequence. Bodies are carved as substrings of one
-// bulk string covering the whole item region — a single allocation
-// regardless of item count — and the items re-normalize through
+// set decodes an item sequence; the items re-normalize through
 // lattice.FromItems, so hostile orderings or duplicates cannot produce
 // a malformed set.
 func (r *binReader) set(what string) lattice.Set {
+	return lattice.FromItems(r.items(what)...)
+}
+
+// items decodes an item sequence as it sits on the wire. Bodies are
+// carved as substrings of one bulk string covering the whole item
+// region — a single allocation regardless of item count.
+func (r *binReader) items(what string) []lattice.Item {
 	n := r.count(what, 2)
 	if r.err != nil || n == 0 {
-		return lattice.Set{}
+		return nil
 	}
 	type span struct {
 		author     ident.ProcessID
@@ -478,7 +507,7 @@ func (r *binReader) set(what string) lattice.Set {
 			// Item bodies must be valid UTF-8: the JSON codec cannot
 			// represent anything else, so such frames are not legal wire.
 			r.fail(what)
-			return lattice.Set{}
+			return nil
 		}
 		spans = append(spans, span{author: a, start: r.off, end: r.off + int(l)})
 		r.off += int(l)
@@ -488,7 +517,7 @@ func (r *binReader) set(what string) lattice.Set {
 	for i, sp := range spans {
 		items[i] = lattice.Item{Author: sp.author, Body: blk[sp.start-blkStart : sp.end-blkStart]}
 	}
-	return lattice.FromItems(items...)
+	return items
 }
 
 func (r *binReader) signedValue(what string) SignedValue {

@@ -217,4 +217,96 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("AppendBinary into sized buffer allocated %.1f times per op", allocs)
 	}
+
+	// The path tcpnet calls: DeltaEncoder.AppendEncode on a set anchored
+	// on a history-sized base with a 1,024-item window that grew by 64
+	// items, and on an exact re-send. Nothing but the retransmission
+	// table's amortized growth may allocate, and the count must not move
+	// with the history: equal at 1k and 16k.
+	var allocsAt [2][2]float64 // [history][grew, re-send]
+	for h, history := range []int{1 << 10, 16 << 10} {
+		old, grown := deltaFixture(history, 1024, 64, true)
+		var grew Msg = AckReq{Proposed: grown, TS: 1, Round: 1}
+		var resend Msg = AckReq{Proposed: old, TS: 2, Round: 1}
+		enc := NewDeltaEncoder()
+		buf := make([]byte, 0, 1<<16)
+		for i, m := range []Msg{grew, resend} {
+			allocsAt[h][i] = testing.AllocsPerRun(200, func() {
+				enc.anchors = append(enc.anchors[:0], old)
+				if _, err := enc.AppendEncode(buf[:0], m, true); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if d, f := enc.Frames(); f != 0 || d == 0 {
+			t.Fatalf("history %d: %d delta frames, %d full", history, d, f)
+		}
+	}
+	if a, b := allocsAt[0], allocsAt[1]; a != b || a[0] > 1 || a[1] > 1 {
+		t.Fatalf("AppendEncode allocs/op [grew, re-send]: %v at history 1k, %v at 16k; want equal and <= 1", a, b)
+	}
+}
+
+// TestStrippedEncodingMatchesWithPrimarySet pins the delta frame's inner
+// message: encoding with the primary set stripped in place must emit
+// exactly the frame of the copy WithPrimarySet(m, ⊥) builds, for every
+// kind and through the RBC and shard wrappers.
+func TestStrippedEncodingMatchesWithPrimarySet(t *testing.T) {
+	msgs := sampleMsgs()
+	for _, m := range sampleMsgs() {
+		msgs = append(msgs, RBCEcho{Src: 2, Tag: "w", Payload: m}, ShardMsg{Shard: 3, Inner: RBCReady{Src: 1, Tag: "w", Payload: m}})
+	}
+	for _, m := range msgs {
+		got, err := appendBinary(nil, m, true)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		want, err := AppendBinary(nil, WithPrimarySet(m, lattice.Empty()))
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T: stripped encoding differs from the encoding of the stripped copy", m)
+		}
+	}
+}
+
+// TestDecodeDoesNotAliasFrame makes tcpnet's reuse of one frame buffer
+// per connection safe by test: whatever the decoder returns or caches
+// must survive the buffer being overwritten by the next frame.
+func TestDecodeDoesNotAliasFrame(t *testing.T) {
+	old, grown := deltaFixture(64, 32, 8, false)
+	msgs := append(sampleMsgs(),
+		AckReq{Proposed: old, TS: 1, Round: 1},                                              // full frame: seeds the base
+		AckReq{Proposed: grown, TS: 2, Round: 1},                                            // delta frame against it
+		RBCEcho{Src: 1, Tag: "t", Payload: AckB{Accepted: grown, Dest: 2, TS: 3, Round: 1}}, // exact re-send
+	)
+	for _, bin := range []bool{true, false} {
+		enc, dec, pristine := NewDeltaEncoder(), NewDeltaDecoder(), NewDeltaDecoder()
+		var buf []byte
+		for _, m := range msgs {
+			frame, err := enc.AppendEncode(nil, m, bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, nack, err := pristine.Decode(frame)
+			if err != nil || nack != nil {
+				t.Fatalf("%s: %v %v", m.Kind(), err, nack)
+			}
+			buf = append(buf[:0], frame...)
+			got, nack, err := dec.Decode(buf)
+			if err != nil || nack != nil {
+				t.Fatalf("%s: %v %v", m.Kind(), err, nack)
+			}
+			for i := range buf {
+				buf[i] = 0xAA
+			}
+			if !reflect.DeepEqual(normalize(got), normalize(want)) {
+				t.Fatalf("bin=%v %s: decoded message changed when its frame buffer was overwritten:\n got %#v\nwant %#v", bin, m.Kind(), got, want)
+			}
+			if s, ok := PrimarySet(got); ok && lattice.FromItems(s.Items()...).Digest() != s.Digest() {
+				t.Fatalf("bin=%v %s: set items no longer match the set digest", bin, m.Kind())
+			}
+		}
+	}
 }

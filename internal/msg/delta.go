@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -164,9 +165,10 @@ func WithPrimarySet(m Msg, s lattice.Set) Msg {
 // and the retransmission buffer is a restart-robustness net, not a hot
 // path — keeping it small bounds the history-sized sets it pins.
 const (
-	maxAnchors     = 4
-	maxRecent      = 128
-	maxDecodeCache = 64
+	maxAnchors      = 4
+	maxRecent       = 128
+	maxDecodeCache  = 64
+	maxDecodeWindow = 1024 // a decoder with no base to follow re-anchors here
 )
 
 // DeltaEncoder is the sending half of the codec for one peer. It is
@@ -180,9 +182,14 @@ type DeltaEncoder struct {
 	anchors []lattice.Set // newest first, candidate delta bases
 	pinned  lattice.Set   // newest transmitted checkpoint prefix: a persistent base
 	recent  map[uint64]Msg
-	order   []uint64 // FIFO over recent
+	order   []uint64       // FIFO over recent
+	scratch []lattice.Item // delta of the frame being encoded
 
 	nDelta, nFull atomic.Int64 // primary-set frames by encoding chosen
+
+	// anchor is the deepest base of any set transmitted: the certified
+	// prefix the local machine currently anchors its sets on.
+	anchor atomic.Pointer[lattice.Base]
 }
 
 // NewDeltaEncoder returns an encoder with an empty base cache.
@@ -224,15 +231,15 @@ func (e *DeltaEncoder) AppendEncode(dst []byte, m Msg, bin bool) ([]byte, error)
 		}
 		return append(dst, raw...), nil
 	}
+	if b := set.Anchor(); b.Len() > e.anchor.Load().Len() {
+		e.anchor.Store(b)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.seq++
 	seq := e.seq
-	base, haveBase := e.bestBaseLocked(set)
-	items := set
+	base, delta, haveBase := e.bestBaseLocked(set)
 	if haveBase {
-		// base ⊆ set was just established; Minus is the Delta items.
-		items = lattice.FromItems(set.Minus(base)...)
 		// Only delta frames can be nacked (full frames are
 		// self-contained), so only they occupy retransmission slots.
 		e.rememberLocked(seq, m)
@@ -248,12 +255,11 @@ func (e *DeltaEncoder) AppendEncode(dst []byte, m Msg, bin bool) ([]byte, error)
 		// unlike ring anchors the pin survives unrelated transmissions.
 		e.pinned = set
 	}
-	stripped := WithPrimarySet(m, lattice.Empty())
 	if bin {
 		dst = append(dst, BinMagic, binDeltaFrame)
 		dst = appendUvarint(dst, seq)
 		var err error
-		dst, err = AppendBinary(dst, stripped)
+		dst, err = appendBinary(dst, m, true)
 		if err != nil {
 			return nil, err
 		}
@@ -261,25 +267,27 @@ func (e *DeltaEncoder) AppendEncode(dst []byte, m Msg, bin bool) ([]byte, error)
 			bd := base.Digest()
 			dst = append(dst, 1)
 			dst = append(dst, bd[:]...)
+			dst = appendItems(dst, delta)
 		} else {
 			dst = append(dst, 0)
+			dst = appendSet(dst, set)
 		}
-		dst = appendSet(dst, items)
 		sd := set.Digest()
 		return append(dst, sd[:]...), nil
 	}
-	inner, err := ToEnvelope(stripped)
+	inner, err := ToEnvelope(WithPrimarySet(m, lattice.Empty()))
 	if err != nil {
 		return nil, err
 	}
 	w := deltaFrameWire{
 		Seq:   seq,
 		Inner: inner,
-		Items: items,
+		Items: set,
 		Dig:   set.Digest().Hex(),
 	}
 	if haveBase {
 		w.Base = base.Digest().Hex()
+		w.Items = lattice.FromItems(delta...)
 	}
 	body, err := json.Marshal(w)
 	if err != nil {
@@ -317,19 +325,28 @@ func (e *DeltaEncoder) HandleNack(nk DeltaNack) (Msg, bool) {
 	return m, true
 }
 
-// bestBaseLocked picks the largest cached anchor that is a subset of
-// set (a valid delta base); empty anchors are never worth referencing.
-func (e *DeltaEncoder) bestBaseLocked(set lattice.Set) (lattice.Set, bool) {
-	best, found := lattice.Set{}, false
-	for _, a := range e.anchors {
-		if !a.IsEmpty() && a.SubsetOf(set) && (!found || a.Len() > best.Len()) {
-			best, found = a, true
+// bestBaseLocked picks the largest cached anchor (or the pin) that is a
+// subset of set — a valid delta base — and returns it with the delta
+// against it, which lives in e.scratch until the next call. Candidates
+// are tried largest first, so the first hit is final. An anchor with
+// set's own digest (the RBC echo/ready storm re-sends one payload set
+// many times) hits in O(1) with an empty delta; empty anchors are never
+// worth referencing.
+func (e *DeltaEncoder) bestBaseLocked(set lattice.Set) (lattice.Set, []lattice.Item, bool) {
+	var cands [maxAnchors + 1]lattice.Set
+	n := copy(cands[:], e.anchors)
+	cands[n] = e.pinned
+	slices.SortStableFunc(cands[:n+1], func(a, b lattice.Set) int { return b.Len() - a.Len() })
+	for _, a := range cands[:n+1] {
+		if a.IsEmpty() || a.Len() > set.Len() {
+			continue
+		}
+		if delta, ok := set.AppendDelta(e.scratch[:0], a); ok {
+			e.scratch = delta[:0]
+			return a, delta, true
 		}
 	}
-	if p := e.pinned; !p.IsEmpty() && p.SubsetOf(set) && (!found || p.Len() > best.Len()) {
-		best, found = p, true
-	}
-	return best, found
+	return lattice.Set{}, nil, false
 }
 
 func (e *DeltaEncoder) pushAnchorLocked(set lattice.Set) {
@@ -344,10 +361,11 @@ func (e *DeltaEncoder) pushAnchorLocked(set lattice.Set) {
 			return
 		}
 	}
-	e.anchors = append([]lattice.Set{set}, e.anchors...)
-	if len(e.anchors) > maxAnchors {
-		e.anchors = e.anchors[:maxAnchors]
+	if len(e.anchors) < maxAnchors {
+		e.anchors = append(e.anchors, lattice.Set{})
 	}
+	copy(e.anchors[1:], e.anchors) // shift in place; the oldest falls off
+	e.anchors[0] = set
 }
 
 func (e *DeltaEncoder) rememberLocked(seq uint64, m Msg) {
@@ -363,15 +381,24 @@ func (e *DeltaEncoder) rememberLocked(seq uint64, m Msg) {
 // bounded cache of reconstructed sets keyed by digest. Safe for
 // concurrent use (a peer may hold several inbound connections).
 type DeltaDecoder struct {
-	mu    sync.Mutex
-	cache map[lattice.Digest]lattice.Set
-	order []lattice.Digest
+	mu     sync.Mutex
+	cache  map[lattice.Digest]lattice.Set
+	order  []lattice.Digest
+	follow *DeltaEncoder
 }
 
 // NewDeltaDecoder returns a decoder with an empty base cache.
 func NewDeltaDecoder() *DeltaDecoder {
 	return &DeltaDecoder{cache: make(map[lattice.Digest]lattice.Set)}
 }
+
+// Follow keeps the sets this decoder reconstructs anchored where the
+// local machine anchors its own — the deepest base e has transmitted —
+// instead of flat. The machine adopts and re-sends what comes off the
+// wire, so with one representation per link ApplyDelta, the machine's
+// lattice operations and e's AppendDelta all run on windows; a flat set
+// meeting an anchored one walks the whole history each time.
+func (d *DeltaDecoder) Follow(e *DeltaEncoder) { d.follow = e }
 
 // Reset drops every cached base, as a decoder restart would; frames
 // referencing forgotten bases fall back via DeltaNack.
@@ -434,8 +461,7 @@ func (d *DeltaDecoder) Decode(data []byte) (Msg, *DeltaNack, error) {
 			return nil, &DeltaNack{Seq: w.Seq}, nil
 		}
 	}
-	d.remember(set)
-	return WithPrimarySet(inner, set), nil, nil
+	return WithPrimarySet(inner, d.remember(set)), nil, nil
 }
 
 // decodeBinary handles binary frames: plain ones decode directly, delta
@@ -468,7 +494,7 @@ func (d *DeltaDecoder) decodeBinary(data []byte) (Msg, *DeltaNack, error) {
 	default:
 		return nil, nil, fmt.Errorf("msg: binary delta frame: base flag %d", flag)
 	}
-	items := r.set("delta items")
+	items := r.items("delta items")
 	want := r.digest("delta dig")
 	if r.err != nil {
 		return nil, nil, r.err
@@ -476,35 +502,54 @@ func (d *DeltaDecoder) decodeBinary(data []byte) (Msg, *DeltaNack, error) {
 	if r.off != len(data) {
 		return nil, nil, fmt.Errorf("msg: binary delta frame: %d trailing bytes", len(data)-r.off)
 	}
-	set := items
-	if flag == 1 {
+	var set lattice.Set
+	if flag == 0 {
+		set = lattice.FromItems(items...)
+	} else {
 		d.mu.Lock()
 		base, ok := d.cache[baseDig]
 		d.mu.Unlock()
 		if !ok {
 			return nil, &DeltaNack{Seq: seq}, nil
 		}
-		set = lattice.ApplyDelta(base, items.Items())
+		set = lattice.ApplyDelta(base, items)
 		if set.Digest() != want {
 			// Divergent reconstruction: ask for the full set rather than
 			// deliver a value the sender did not mean.
 			return nil, &DeltaNack{Seq: seq}, nil
 		}
 	}
-	d.remember(set)
-	return WithPrimarySet(inner, set), nil, nil
+	return WithPrimarySet(inner, d.remember(set)), nil, nil
 }
 
-func (d *DeltaDecoder) remember(set lattice.Set) {
+// remember caches a reconstructed set as a future delta base and
+// returns the representation to deliver: the cached one when the set is
+// known, else set re-anchored on the followed encoder's base where that
+// base is contained in it.
+func (d *DeltaDecoder) remember(set lattice.Set) lattice.Set {
 	dig := set.Digest()
 	d.mu.Lock()
-	if _, dup := d.cache[dig]; !dup {
-		d.cache[dig] = set
-		d.order = append(d.order, dig)
-		for len(d.order) > maxDecodeCache {
-			delete(d.cache, d.order[0])
-			d.order = d.order[1:]
+	defer d.mu.Unlock()
+	if known, dup := d.cache[dig]; dup {
+		return known
+	}
+	var a *lattice.Base
+	if d.follow != nil {
+		a = d.follow.anchor.Load()
+	}
+	if a == nil && set.WindowLen() >= maxDecodeWindow {
+		a = lattice.NewBase(set) // nothing to follow: anchor the chain on itself
+	}
+	if a != nil && set.Anchor() != a {
+		if on, ok := set.Rebase(a); ok {
+			set = on
 		}
 	}
-	d.mu.Unlock()
+	d.cache[dig] = set
+	d.order = append(d.order, dig)
+	for len(d.order) > maxDecodeCache {
+		delete(d.cache, d.order[0])
+		d.order = d.order[1:]
+	}
+	return set
 }

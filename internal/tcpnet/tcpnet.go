@@ -16,6 +16,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,6 +36,11 @@ import (
 
 // maxFrame bounds a single message frame (16 MiB).
 const maxFrame = 16 << 20
+
+// maxWriteBytes bounds how much a send loop encodes ahead of one write;
+// a steady-state frame is ~100 bytes, so a backlog goes out hundreds of
+// frames per syscall.
+const maxWriteBytes = 64 << 10
 
 // helloMagic is the domain separator of the handshake signature.
 const helloMagic = "bgla/tcp-hello|%d|%d"
@@ -94,16 +100,12 @@ type Config struct {
 
 // Node is one deployed process.
 type Node struct {
-	cfg    Config
-	events chan proto.Event
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbox   []inboundMsg
-	closed  bool
+	cfg     Config
+	events  chan proto.Event
+	inbox   *queue[inboundMsg]
 	stopped atomic.Bool
 
-	sendQ map[ident.ProcessID]*sendQueue
+	sendQ map[ident.ProcessID]*queue[msg.Msg]
 	enc   map[ident.ProcessID]*msg.DeltaEncoder
 	wg    sync.WaitGroup
 
@@ -128,15 +130,16 @@ type Node struct {
 	wireResends map[ident.ProcessID]*obs.Counter
 	wireBytesTx map[ident.ProcessID]*obs.Counter
 	wireBytesRx map[ident.ProcessID]*obs.Counter
+	wireWrites  map[ident.ProcessID]*obs.Counter
 }
 
-// frameBufPool recycles [4-byte length header | payload] scratch
-// buffers for the per-peer write path: each sendLoop checks one out for
-// the life of its goroutine, so steady-state sends do zero frame
-// allocations regardless of how many nodes share the process.
+// frameBufPool recycles the scratch buffers of the per-peer write path:
+// each sendLoop checks one out for the life of its goroutine, so
+// steady-state sends do zero frame allocations regardless of how many
+// nodes share the process.
 var frameBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 4, 4096)
+		b := make([]byte, 0, 4096)
 		return &b
 	},
 }
@@ -146,46 +149,57 @@ type inboundMsg struct {
 	m    msg.Msg
 }
 
-// sendQueue holds typed messages: frames are encoded by the send loop
-// immediately before each write, so the delta codec's base chain always
-// matches what actually went out on the current connection.
-type sendQueue struct {
+// queue is an unbounded FIFO handed over wholesale: the consumer swaps
+// the filled slice for its previous, finished batch (takeAll), so it
+// locks once per wake-up instead of once per element, and a consumed
+// element — each may pin a history-sized set — is released when its
+// batch is done, not when the backing array is next reallocated.
+//
+// The per-peer send queues hold typed messages: frames are encoded by
+// the send loop immediately before each write, so the delta codec's
+// base chain always matches what actually went out on the current
+// connection.
+type queue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []msg.Msg
+	cond   sync.Cond
+	items  []T
 	closed bool
 }
 
-func newSendQueue() *sendQueue {
-	q := &sendQueue{}
-	q.cond = sync.NewCond(&q.mu)
+func newQueue[T any]() *queue[T] {
+	q := &queue[T]{}
+	q.cond.L = &q.mu
 	return q
 }
 
-func (q *sendQueue) put(m msg.Msg) {
+func (q *queue[T]) put(v T) {
 	q.mu.Lock()
 	if !q.closed {
-		q.queue = append(q.queue, m)
+		q.items = append(q.items, v)
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
 }
 
-func (q *sendQueue) take() (msg.Msg, bool) {
+// takeAll blocks until the queue is non-empty and returns everything in
+// it, in order; done, the caller's previous batch, is zeroed and becomes
+// the queue's next backing array. ok is false once the queue is closed
+// and drained.
+func (q *queue[T]) takeAll(done []T) (batch []T, ok bool) {
+	clear(done)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.queue) == 0 && !q.closed {
+	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.queue) == 0 {
+	if len(q.items) == 0 {
 		return nil, false
 	}
-	f := q.queue[0]
-	q.queue = q.queue[1:]
-	return f, true
+	batch, q.items = q.items, done[:0]
+	return batch, true
 }
 
-func (q *sendQueue) close() {
+func (q *queue[T]) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
@@ -216,7 +230,8 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:         cfg,
 		events:      make(chan proto.Event, cfg.EventBuffer),
-		sendQ:       make(map[ident.ProcessID]*sendQueue, len(cfg.Peers)),
+		inbox:       newQueue[inboundMsg](),
+		sendQ:       make(map[ident.ProcessID]*queue[msg.Msg], len(cfg.Peers)),
 		enc:         make(map[ident.ProcessID]*msg.DeltaEncoder, len(cfg.Peers)),
 		dec:         make(map[ident.ProcessID]*msg.DeltaDecoder),
 		conns:       make(map[net.Conn]struct{}),
@@ -225,11 +240,11 @@ func NewNode(cfg Config) (*Node, error) {
 		wireResends: make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
 		wireBytesTx: make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
 		wireBytesRx: make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
+		wireWrites:  make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
 	}
-	n.cond = sync.NewCond(&n.mu)
 	self := cfg.Self.String()
 	for p := range cfg.Peers {
-		n.sendQ[p] = newSendQueue()
+		n.sendQ[p] = newQueue[msg.Msg]()
 		enc := msg.NewDeltaEncoder()
 		n.enc[p] = enc
 		peer := p.String()
@@ -237,6 +252,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.wireResends[p] = reg.Counter("bgla_wire_delta_resends_total", "self", self, "peer", peer)
 		n.wireBytesTx[p] = reg.Counter("bgla_wire_bytes_total", "self", self, "peer", peer, "dir", "tx")
 		n.wireBytesRx[p] = reg.Counter("bgla_wire_bytes_total", "self", self, "peer", peer, "dir", "rx")
+		n.wireWrites[p] = reg.Counter("bgla_wire_writes_total", "self", self, "peer", peer)
 		reg.CounterFunc("bgla_wire_delta_frames_total", func() uint64 {
 			d, _ := enc.Frames()
 			return uint64(d)
@@ -261,6 +277,7 @@ func (n *Node) decoderFor(peer ident.ProcessID) *msg.DeltaDecoder {
 	d := n.dec[peer]
 	if d == nil {
 		d = msg.NewDeltaDecoder()
+		d.Follow(n.enc[peer])
 		n.dec[peer] = d
 	}
 	return d
@@ -321,10 +338,7 @@ func (n *Node) Stop() {
 		_ = c.Close() // unblock readers
 	}
 	n.connMu.Unlock()
-	n.mu.Lock()
-	n.closed = true
-	n.cond.Broadcast()
-	n.mu.Unlock()
+	n.inbox.close()
 	n.wg.Wait()
 }
 
@@ -348,39 +362,23 @@ func (n *Node) untrack(c net.Conn) {
 }
 
 func (n *Node) enqueueInbound(from ident.ProcessID, m msg.Msg) {
-	n.mu.Lock()
-	if !n.closed {
-		n.inbox = append(n.inbox, inboundMsg{from: from, m: m})
-		n.cond.Signal()
-	}
-	n.mu.Unlock()
-}
-
-func (n *Node) takeInbound() (inboundMsg, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for len(n.inbox) == 0 && !n.closed {
-		n.cond.Wait()
-	}
-	if len(n.inbox) == 0 {
-		return inboundMsg{}, false
-	}
-	e := n.inbox[0]
-	n.inbox = n.inbox[1:]
-	return e, true
+	n.inbox.put(inboundMsg{from: from, m: m})
 }
 
 func (n *Node) driveMachine() {
 	defer n.wg.Done()
 	n.dispatch(n.cfg.Machine.Start())
 	n.drainEvents()
+	var batch []inboundMsg
 	for {
-		e, ok := n.takeInbound()
-		if !ok {
+		var ok bool
+		if batch, ok = n.inbox.takeAll(batch); !ok {
 			return
 		}
-		n.dispatch(n.cfg.Machine.Handle(e.from, e.m))
-		n.drainEvents()
+		for _, e := range batch {
+			n.dispatch(n.cfg.Machine.Handle(e.from, e.m))
+			n.drainEvents()
+		}
 	}
 }
 
@@ -432,11 +430,17 @@ func (n *Node) sendTo(to ident.ProcessID, m msg.Msg) {
 }
 
 // sendLoop maintains the outgoing connection to one peer, reconnecting
-// until Stop; queued messages survive reconnects. Every (re)dial resets
-// the peer's delta encoder, so messages written to a fresh connection
-// start a self-contained base chain — a restarted receiver never waits
-// on bases it missed, and a frame re-sent after a write failure is
-// re-encoded against the reset state.
+// until Stop; queued messages survive reconnects. It drains everything
+// queued for the peer, encodes the frames back to back (up to
+// maxWriteBytes) and issues one write. The flush rule is "queue empty":
+// an isolated message goes out at once and a backlog shares its
+// syscalls, with no timer and no added delay. Frames are encoded in
+// transmission order, which keeps the delta base chain coherent. Every
+// (re)dial resets the peer's delta encoder, so a fresh connection
+// starts a self-contained base chain — a restarted receiver never waits
+// on bases it missed — and after a failed write every frame of that
+// write is re-encoded, in order, against the reset state (those the
+// peer already got arrive twice; machines are idempotent).
 func (n *Node) sendLoop(peer ident.ProcessID) {
 	defer n.wg.Done()
 	var conn net.Conn
@@ -453,20 +457,18 @@ func (n *Node) sendLoop(peer ident.ProcessID) {
 	defer drop()
 	q := n.sendQ[peer]
 	enc := n.enc[peer]
-	bytesTx := n.wireBytesTx[peer]
 	scratchp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(scratchp)
-	var pending msg.Msg
+	var batch []msg.Msg
+	sent := 0 // batch[:sent] is written
 	for {
-		m := pending
-		if m == nil {
+		if sent == len(batch) {
 			var ok bool
-			m, ok = q.take()
-			if !ok {
+			if batch, ok = q.takeAll(batch); !ok {
 				return
 			}
+			sent = 0
 		}
-		pending = m
 		if conn == nil {
 			c, b, err := n.dialPeer(peer)
 			if err != nil {
@@ -480,37 +482,43 @@ func (n *Node) sendLoop(peer ident.ProcessID) {
 			n.setBinary(peer, bin)
 			enc.Reset()
 		}
-		// Encode into the pooled scratch after a 4-byte header hole, so
-		// header+payload go out in one write with zero per-frame allocs.
-		buf := (*scratchp)[:4]
-		var err error
-		if n.cfg.PlainCodec {
-			var frame []byte
-			frame, err = msg.Encode(m)
-			buf = append(buf, frame...)
-		} else {
-			buf, err = enc.AppendEncode(buf, m, bin)
+		buf, next := (*scratchp)[:0], sent
+		for next < len(batch) && len(buf) < maxWriteBytes {
+			buf = n.appendFrame(buf, enc, batch[next], bin)
+			next++
 		}
-		if err != nil {
-			pending = nil // unmarshalable message: drop it
-			continue
-		}
-		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-		if cap(buf) > cap(*scratchp) {
-			*scratchp = buf[:4]
-		}
+		*scratchp = buf[:0]
 		if _, err := conn.Write(buf); err != nil {
 			if n.stopped.Load() {
 				return
 			}
 			drop()
-			continue // retry same message on a fresh connection
+			continue // retry the same frames on a fresh connection
 		}
-		if bytesTx != nil {
-			bytesTx.Add(uint64(len(buf)))
-		}
-		pending = nil
+		n.wireBytesTx[peer].Add(uint64(len(buf)))
+		n.wireWrites[peer].Inc()
+		sent = next
 	}
+}
+
+// appendFrame appends m's [4-byte length | payload] frame to buf; a
+// message that cannot be marshaled is dropped.
+func (n *Node) appendFrame(buf []byte, enc *msg.DeltaEncoder, m msg.Msg, bin bool) []byte {
+	start := len(buf)
+	out := append(buf, 0, 0, 0, 0)
+	var err error
+	if n.cfg.PlainCodec {
+		var frame []byte
+		frame, err = msg.Encode(m)
+		out = append(out, frame...)
+	} else {
+		out, err = enc.AppendEncode(out, m, bin)
+	}
+	if err != nil {
+		return buf
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out
 }
 
 // dialPeer connects, proves identity, and negotiates the frame codec:
@@ -540,7 +548,7 @@ func (n *Node) dialPeer(peer ident.ProcessID) (net.Conn, bool, error) {
 	bin := false
 	if !n.cfg.PlainCodec {
 		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if raw, err := readFrame(conn); err == nil {
+		if raw, err := readFrame(conn, nil); err == nil {
 			var ack helloAck
 			if json.Unmarshal(raw, &ack) == nil {
 				bin = ack.Bin
@@ -571,17 +579,20 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop authenticates the hello and then feeds frames to the machine
-// attributed to the authenticated peer.
+// attributed to the authenticated peer. It reads through a buffer (a
+// coalesced write arrives as one read, not two per frame) into one
+// grow-only frame buffer: the decoder copies everything it keeps.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
 	defer conn.Close()
-	raw, err := readFrame(conn)
+	r := bufio.NewReaderSize(conn, maxWriteBytes)
+	frame, err := readFrame(r, nil)
 	if err != nil {
 		return
 	}
 	var h hello
-	if err := json.Unmarshal(raw, &h); err != nil {
+	if err := json.Unmarshal(frame, &h); err != nil {
 		n.rejectedHellos.Add(1)
 		return
 	}
@@ -599,8 +610,7 @@ func (n *Node) readLoop(conn net.Conn) {
 	bytesRx := n.wireBytesRx[h.From]
 	dec := n.decoderFor(h.From)
 	for {
-		frame, err := readFrame(conn)
-		if err != nil {
+		if frame, err = readFrame(r, frame); err != nil {
 			return
 		}
 		if bytesRx != nil {
@@ -649,18 +659,23 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame into buf, replacing it when the frame does
+// not fit, and returns the payload: it aliases the (possibly new)
+// buffer, which the caller passes back in to reuse.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 4096)
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return buf, err
+	}
+	size := int(binary.BigEndian.Uint32(buf[:4]))
 	if size > maxFrame {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
+		return buf, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if cap(buf) < size {
+		buf = make([]byte, size)
 	}
-	return buf, nil
+	_, err := io.ReadFull(r, buf[:size])
+	return buf[:size], err
 }

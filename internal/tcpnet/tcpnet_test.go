@@ -164,7 +164,7 @@ func TestFrameLimits(t *testing.T) {
 		hdr[3] = 0xff
 		_, _ = c1.Write(hdr[:])
 	}()
-	if _, err := readFrame(c2); err == nil {
+	if _, err := readFrame(c2, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
