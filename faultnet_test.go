@@ -587,8 +587,12 @@ var scenarios = []fullStackScenario{
 			h.wrappers[1][3].Crash()
 			spread("down", 24)
 			h.quiesce()
-			fresh0 := h.restart(0, 3, 2, 16)
-			fresh1 := h.restart(1, 3, 2, 16)
+			var fresh0, fresh1 *gwts.Machine
+			h.net.Atomically(func() {
+				fresh0 = h.restart(0, 3, 2, 16)
+				fresh1 = h.restart(1, 3, 2, 16)
+			})
+			h.quiesce()
 			spread("post", 32)
 			h.quiesce()
 			for s, fresh := range map[int]*gwts.Machine{0: fresh0, 1: fresh1} {
@@ -620,9 +624,11 @@ var scenarios = []fullStackScenario{
 				h.wrappers[0][slot].Crash()
 			}
 			h.mfs.Crash("", true) // whole-machine power loss
-			for slot := 0; slot < 4; slot++ {
-				h.restartFromDisk(0, slot, 1, 12)
-			}
+			h.net.Atomically(func() {
+				for slot := 0; slot < 4; slot++ {
+					h.restartFromDisk(0, slot, 1, 12)
+				}
+			})
 			h.quiesce()
 			for slot := 0; slot < 4; slot++ {
 				rec := h.pers[0][slot].Recovered()
@@ -756,11 +762,13 @@ var scenarios = []fullStackScenario{
 				}
 			}
 			h.mfs.Crash("", true)
-			for s := 0; s < 2; s++ {
-				for slot := 0; slot < 4; slot++ {
-					h.restartFromDisk(s, slot, 2, 12)
+			h.net.Atomically(func() {
+				for s := 0; s < 2; s++ {
+					for slot := 0; slot < 4; slot++ {
+						h.restartFromDisk(s, slot, 2, 12)
+					}
 				}
-			}
+			})
 			h.quiesce()
 			items := h.read() // cross-shard Scan over the reborn store
 			if got := len(SetView(items)); got != n {

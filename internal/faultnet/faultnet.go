@@ -165,6 +165,7 @@ type Net struct {
 	stopping bool
 	idle     bool
 	holds    int
+	txns     int
 	done     chan struct{}
 }
 
@@ -292,6 +293,23 @@ func (n *Net) HoldLulls(on bool) {
 	n.mu.Unlock()
 }
 
+// Atomically runs fn with admission closed: everything fn injects
+// (e.g. the round-0 traffic of several replicas restarted in a row) is
+// sequenced as one admission batch, however long fn takes in real time.
+// Call it at a quiesced point, from the harness goroutine.
+func (n *Net) Atomically(fn func()) {
+	n.mu.Lock()
+	n.txns++
+	n.mu.Unlock()
+	defer func() {
+		n.mu.Lock()
+		n.txns--
+		n.cond.Broadcast()
+		n.mu.Unlock()
+	}()
+	fn()
+}
+
 // Quiesce blocks until the network is fully drained: empty queue, no
 // staged injections, dispatcher parked. Call between sequential client
 // operations to pin the admission points (trace determinism), and
@@ -368,10 +386,14 @@ func (n *Net) run() {
 	n.mu.Unlock()
 }
 
-// admit waits for the staged set to stabilize, then sequences it in
-// canonical order at the current virtual time. Called with mu held.
+// admit waits for any Atomically bracket to close and the staged set to
+// stabilize, then sequences it in canonical order at the current virtual
+// time. Called with mu held.
 func (n *Net) admit() {
 	for {
+		for n.txns > 0 && !n.stopping {
+			n.cond.Wait()
+		}
 		count := len(n.stage)
 		n.mu.Unlock()
 		time.Sleep(n.opts.Stability)
@@ -379,7 +401,7 @@ func (n *Net) admit() {
 		if n.stopping {
 			return
 		}
-		if len(n.stage) == count {
+		if len(n.stage) == count && n.txns == 0 {
 			break
 		}
 	}
