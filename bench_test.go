@@ -1,6 +1,6 @@
 package bgla_test
 
-// One benchmark per experiment table (E1..E14 of EXPERIMENTS.md): each
+// One benchmark per experiment table (E1..E14): each
 // regenerates its table through the internal/exp harness and reports
 // the headline metric, so `go test -bench=.` reproduces the paper's
 // quantitative claims end to end. Micro-benchmarks of the protocol hot
@@ -96,14 +96,6 @@ func BenchmarkE13WaitFree(b *testing.B) {
 
 func BenchmarkE14Throughput(b *testing.B) {
 	benchTable(b, func() *exp.Table { return exp.Throughput(true) }, "values/decision", "values/decision")
-}
-
-func BenchmarkE15BatchThroughput(b *testing.B) {
-	benchTable(b, func() *exp.Table { return exp.BatchThroughput(true) }, "ops/sec", "ops/sec")
-}
-
-func BenchmarkE17ShardThroughput(b *testing.B) {
-	benchTable(b, func() *exp.Table { return exp.ShardThroughput(true) }, "ops/sec", "ops/sec")
 }
 
 // --- protocol micro-benchmarks -------------------------------------------

@@ -1,23 +1,14 @@
-// Command bglabench regenerates every experiment table of
-// EXPERIMENTS.md: the Figure 1 chain, the Theorem 1 resilience attack,
-// the latency and message-complexity bounds of WTS/GWTS/SbS/GSbS, the
-// RSM linearizability workload, the crash-stop baseline comparison, the
-// defense ablations, the live batched-vs-unbatched throughput benchmark
-// (E15), the digest/delta wire-codec benchmark (E16), the sharded
-// multi-lattice throughput benchmark (E17), the checkpointed
-// history-compaction benchmark (E18), the durable-WAL benchmark (E19)
-// and the open-loop workload engine + elastic shard autoscaler
-// benchmark (E20). The structured E15-E20 reports are written to
-// BENCH_batch.json, BENCH_wire.json, BENCH_shard.json,
-// BENCH_compact.json, BENCH_wal.json and BENCH_workload.json so the
-// performance trajectory is tracked across PRs. -metricsout
-// additionally dumps the E20 demo registry in the Prometheus text
-// exposition format (what a live /metrics endpoint serves), including
-// the bgla_autoscale_* decision-stream families.
+// Command bglabench prints the paper-reproduction experiment tables
+// E1-E14: the Figure 1 chain, the Theorem 1 resilience attack, the
+// latency and message-complexity bounds of WTS/GWTS/SbS/GSbS, the RSM
+// linearizability workload, the crash-stop baseline comparison, the
+// defense ablations, wait-freedom and live throughput. It exits 1 if
+// any table fails. Performance is measured by bench/ (BENCHMARK.json),
+// not here.
 //
 // Usage:
 //
-//	bglabench [-quick] [-only E4,E8] [-batchout BENCH_batch.json] [-wireout BENCH_wire.json] [-shardout BENCH_shard.json] [-compactout BENCH_compact.json] [-walout BENCH_wal.json] [-workloadout BENCH_workload.json] [-metricsout metrics.prom]
+//	bglabench [-quick] [-only E4,E8]
 package main
 
 import (
@@ -31,14 +22,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "trimmed parameter sweeps (fast)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E2,E8)")
-	batchOut := flag.String("batchout", "BENCH_batch.json", "path for the E15 throughput report (empty disables)")
-	wireOut := flag.String("wireout", "BENCH_wire.json", "path for the E16 wire-codec report (empty disables)")
-	shardOut := flag.String("shardout", "BENCH_shard.json", "path for the E17 sharded-store report (empty disables)")
-	compactOut := flag.String("compactout", "BENCH_compact.json", "path for the E18 compaction report (empty disables)")
-	walOut := flag.String("walout", "BENCH_wal.json", "path for the E19 durable-WAL report (empty disables)")
-	workloadOut := flag.String("workloadout", "BENCH_workload.json", "path for the E20 workload/autoscaler report (empty disables)")
-	metricsOut := flag.String("metricsout", "", "dump the E20 demo registry in Prometheus text format to this path")
+	only := flag.String("only", "", "comma-separated experiment IDs to print (e.g. E2,E8)")
 	flag.Parse()
 
 	wanted := map[string]bool{}
@@ -48,136 +32,15 @@ func main() {
 			wanted[id] = true
 		}
 	}
-	selected := func(id string) bool { return len(wanted) == 0 || wanted[id] }
 
 	failed := 0
-	show := func(tbl *exp.Table) {
-		if !selected(tbl.ID) {
-			return
+	for _, tbl := range exp.All(*quick) {
+		if len(wanted) > 0 && !wanted[tbl.ID] {
+			continue
 		}
 		fmt.Println(tbl.Render())
 		if !tbl.Pass {
 			failed++
-		}
-	}
-	for _, tbl := range exp.AllBase(*quick) {
-		show(tbl)
-	}
-	if selected("E15") {
-		rep, err := exp.BatchThroughputReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E15: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *batchOut != "" {
-				if err := os.WriteFile(*batchOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *batchOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (best batched speedup: %.2fx)\n", *batchOut, rep.BestSpeedup)
-				}
-			}
-		}
-	}
-	if selected("E16") {
-		rep, err := exp.WireDeltaReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E16: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *wireOut != "" {
-				if err := os.WriteFile(*wireOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *wireOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (best reduction: %.1fx bytes/op, %.1fx identity checks)\n",
-						*wireOut, rep.BestBytesReduction, rep.BestKeyReduction)
-				}
-			}
-		}
-	}
-	if selected("E17") {
-		rep, err := exp.ShardThroughputReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E17: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *shardOut != "" {
-				if err := os.WriteFile(*shardOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *shardOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (speedup at 4 shards: %.2fx, best: %.2fx)\n",
-						*shardOut, rep.SpeedupAt4, rep.BestSpeedup)
-				}
-			}
-		}
-	}
-	if selected("E18") {
-		rep, err := exp.CompactionReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E18: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *compactOut != "" {
-				if err := os.WriteFile(*compactOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *compactOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (late/early: %.2fx compacted vs %.2fx unbounded; catch-up via transfer: %v)\n",
-						*compactOut, rep.FlatRatioOn, rep.GrowthRatioOff, rep.CatchUp.CaughtUp)
-				}
-			}
-		}
-	}
-	if selected("E19") {
-		rep, err := exp.WALDurabilityReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E19: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *walOut != "" {
-				if err := os.WriteFile(*walOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *walOut, err)
-					failed++
-				} else {
-					last := rep.Recovery[len(rep.Recovery)-1]
-					fmt.Printf("wrote %s (%d fsync policies; cold recovery at history %d: %.1f ms, %d items from disk)\n",
-						*walOut, len(rep.Policies), last.History, last.RecoverMS, last.RecoveredItems)
-				}
-			}
-		}
-	}
-	if selected("E20") {
-		rep, err := exp.WorkloadReport(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bglabench: E20: %v\n", err)
-			failed++
-		} else {
-			show(rep.Table())
-			if *workloadOut != "" {
-				if err := os.WriteFile(*workloadOut, rep.JSON(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *workloadOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (%d rows; autoscaler resized: %v, %d -> %d shards, %d resize(s))\n",
-						*workloadOut, len(rep.Rows), rep.Autoscale.Resized,
-						rep.Autoscale.StartShards, rep.Autoscale.FinalShards, len(rep.Autoscale.Resizes))
-				}
-			}
-			if *metricsOut != "" {
-				if err := os.WriteFile(*metricsOut, rep.WriteMetrics(), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "bglabench: writing %s: %v\n", *metricsOut, err)
-					failed++
-				} else {
-					fmt.Printf("wrote %s (Prometheus exposition dump of the E20 demo registry)\n", *metricsOut)
-				}
-			}
 		}
 	}
 	if failed > 0 {

@@ -1,18 +1,12 @@
 // Command bglasim runs a single simulated execution of one of the
 // paper's protocols and prints the outcome: decisions, latency in
 // message delays, message counts and any specification violations.
-// With -workload it instead runs the virtual-time elastic capacity
-// model (internal/sim.RunElastic): an open-loop op stream against the
-// sharded queueing model with the autoscale controller live, printing
-// the shard-count trajectory and every resize decision.
 //
 // Usage:
 //
 //	bglasim -algo wts -n 7 -f 2 -mute 2 -seed 3
 //	bglasim -algo gwts -n 4 -f 1 -rounds 3
 //	bglasim -algo sbs -n 16 -f 1
-//	bglasim -workload poisson -rate 60000 -wops 20000 -seed 3
-//	bglasim -workload bursty -keys hotset -maxshards 16
 package main
 
 import (
@@ -23,9 +17,6 @@ import (
 	"strings"
 
 	"bgla"
-	"bgla/internal/autoscale"
-	"bgla/internal/sim"
-	"bgla/internal/workload"
 )
 
 func main() {
@@ -37,19 +28,7 @@ func main() {
 	rounds := flag.Int("rounds", 1, "minimum rounds (generalized algorithms)")
 	delayLo := flag.Uint64("delay-lo", 0, "random delay lower bound (0 = unit delays)")
 	delayHi := flag.Uint64("delay-hi", 0, "random delay upper bound")
-	wl := flag.String("workload", "", "elastic capacity model: poisson | bursty | diurnal")
-	keys := flag.String("keys", "zipf", "key popularity: zipf | uniform | hotset")
-	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent")
-	rate := flag.Float64("rate", 60_000, "offered load, ops/sec")
-	wops := flag.Int("wops", 20_000, "arrivals to simulate")
-	shards := flag.Int("shards", 1, "starting shard count")
-	maxShards := flag.Int("maxshards", 8, "autoscaler upper bound")
 	flag.Parse()
-
-	if *wl != "" {
-		runElastic(*wl, *keys, *zipfS, *rate, *wops, *shards, *maxShards, *seed)
-		return
-	}
 
 	algos := map[string]bgla.Algorithm{
 		"wts": bgla.WTS, "sbs": bgla.SbS, "gwts": bgla.GWTS, "gsbs": bgla.GSbS,
@@ -100,64 +79,6 @@ func main() {
 		fmt.Printf("messages: %d total; decision rounds: %d\n", rep.Messages, rep.Rounds)
 		printDecisions(rep.Final)
 		printViolations(rep.Violations)
-	}
-}
-
-func runElastic(shape, keys string, zipfS, rate float64, ops, shards, maxShards int, seed int64) {
-	var arrival workload.Arrival
-	switch shape {
-	case "poisson":
-		arrival = workload.Poisson{Rate: rate}
-	case "bursty":
-		arrival = &workload.Bursty{BaseRate: rate / 10, BurstRate: rate * 2, OnDur: 0.05, OffDur: 0.1}
-	case "diurnal":
-		arrival = &workload.Diurnal{Trace: []float64{rate / 5, rate, rate * 1.5, rate / 2}, Slot: 0.25}
-	default:
-		fmt.Fprintf(os.Stderr, "bglasim: unknown workload %q\n", shape)
-		os.Exit(2)
-	}
-	var keyGen workload.KeyGen
-	switch keys {
-	case "zipf":
-		keyGen = workload.NewZipf(4096, zipfS)
-	case "uniform":
-		keyGen = workload.Uniform{N: 4096}
-	case "hotset":
-		keyGen = workload.HotSet{N: 4096, Hot: 4, Frac: 0.9}
-	default:
-		fmt.Fprintf(os.Stderr, "bglasim: unknown key generator %q\n", keys)
-		os.Exit(2)
-	}
-	res := sim.RunElastic(sim.ElasticConfig{
-		Workload:   workload.Config{Arrival: arrival, Keys: keyGen, Seed: seed},
-		Ops:        ops,
-		Shards:     shards,
-		RoundTicks: 300_000,
-		PerOpTicks: 5_000,
-		EvalEvery:  20_000_000,
-		DrainTicks: 5_000_000,
-		Autoscale: autoscale.Config{
-			Min: 1, Max: maxShards,
-			UpQueueDepth: 32,
-			DownP99:      2_000_000,
-			DownRate:     1_000,
-			Hysteresis:   2,
-			Cooldown:     60_000_000,
-		},
-	})
-	fmt.Printf("%s/%s  rate=%.0f ops=%d seed=%d shards=%d..%d\n",
-		arrival.Name(), keyGen.Name(), rate, ops, seed, shards, maxShards)
-	fmt.Printf("completed %d/%d in %.1f ms virtual; final shards %d\n",
-		res.Completed, res.Offered, float64(res.EndTime)/1e6, res.FinalS)
-	fmt.Printf("latency ms: p50=%.3f p99=%.3f p999=%.3f\n",
-		res.P50/1e6, res.P99/1e6, res.P999/1e6)
-	for _, d := range res.Decisions {
-		fmt.Printf("t=%.1fms %s %d -> %d (%s)\n",
-			float64(d.At)/1e6, d.Dir, d.From, d.To, d.Reason)
-	}
-	for _, p := range res.Points {
-		fmt.Printf("  t=%.1fms S=%d depth=%.1f done=%d\n",
-			float64(p.T)/1e6, p.Shards, p.Depth, p.Completed)
 	}
 }
 

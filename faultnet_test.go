@@ -571,6 +571,38 @@ var scenarios = []fullStackScenario{
 		},
 	},
 	{
+		// One mute replica per shard (different processes) plus two
+		// windows cutting correct replica 1: each shard is then left with
+		// 2 of the 3 correct replicas it needs, so the updates landing in
+		// a window stall in virtual time until its heal.
+		name: "store-mute-partition-windows",
+		cfg: scenarioConfig{shards: 2, replicas: 4, faulty: 1,
+			adversary: func(h *harness, shard, slot int, m proto.Machine) proto.Machine {
+				if (shard == 0 && slot == 3) || (shard == 1 && slot == 2) {
+					return &byz.Mute{Self: ident.ProcessID(slot)}
+				}
+				return nil
+			},
+			sched: func(h *harness) *faultnet.Schedule {
+				return &faultnet.Schedule{Ops: []faultnet.Op{
+					faultnet.NewPartition(300, 2500, 1),
+					faultnet.NewPartition(2600, 6000, 1),
+				}}
+			}},
+		workload: func(h *harness) {
+			put := func() {
+				h.update(PutCmd(fmt.Sprintf("win-%02d", (h.updates+1)%8), uint64(h.updates+1), "v"))
+				h.quiesce()
+			}
+			for h.net.Now() < 6000 {
+				put()
+			}
+			for k := 0; k < 12; k++ {
+				put()
+			}
+		},
+	},
+	{
 		name: "store-crash-restart-state-transfer",
 		cfg: scenarioConfig{shards: 2, replicas: 4, faulty: 1, ckptEvery: 16,
 			restartable: [][2]int{{0, 3}, {1, 3}}},

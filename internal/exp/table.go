@@ -1,4 +1,4 @@
-// Package exp regenerates every experiment table of EXPERIMENTS.md: one
+// Package exp regenerates the paper-reproduction tables E1-E14: one
 // generator per quantitative claim of the paper (the bounds proved in
 // §§4, 5.1, 6.3-6.4, 8.1-8.2, the Figure 1 chain, the RSM properties of
 // §7) plus the design ablations called out in DESIGN.md. The same
@@ -84,21 +84,9 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// All runs every experiment in order. The quick flag trims parameter
-// sweeps for fast regression runs (tests); full sweeps feed
-// EXPERIMENTS.md.
+// All runs every experiment (E1-E14) in order. The quick flag trims
+// parameter sweeps for fast regression runs (tests).
 func All(quick bool) []*Table {
-	return append(AllBase(quick), BatchThroughput(quick), WireDelta(quick), ShardThroughput(quick), Compaction(quick), WALDurability(quick), WorkloadEngine(quick))
-}
-
-// AllBase returns the deterministic-simulator experiments (E1-E14);
-// the live benchmarks E15 (batching), E16 (delta wire codec), E17
-// (sharded store), E18 (checkpointed compaction), E19 (durable WAL)
-// and E20 (open-loop workload + autoscaler) are separate so
-// cmd/bglabench can capture their structured reports for
-// BENCH_batch.json, BENCH_wire.json, BENCH_shard.json,
-// BENCH_compact.json, BENCH_wal.json and BENCH_workload.json.
-func AllBase(quick bool) []*Table {
 	return []*Table{
 		FigureChain(),
 		ResilienceBound(),

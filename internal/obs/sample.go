@@ -1,52 +1,23 @@
 package obs
 
-// Sampling API: read a single registered series by (name, labels)
-// without creating it. This is the autoscaler's input path — a
-// controller polls the same registry the subsystems publish to, so
-// capacity decisions consume exactly what /metrics serves. Lookups
-// copy the instrument reference under the registry mutex and invoke
-// pull-mode func views after releasing it, mirroring exposition.
-
-// lookup returns the instrument stored for (name, labels), or nil.
-func (r *Registry) lookup(name string, labels []string) any {
+// SampleCounter reads one counter series (direct or CounterFunc view)
+// by (name, labels) without creating it. The bool is false when the
+// series does not exist or is not a counter. The instrument reference
+// is copied under the registry mutex and a pull-mode view is invoked
+// after releasing it, mirroring exposition.
+func (r *Registry) SampleCounter(name string, labels ...string) (uint64, bool) {
 	key := labelKey(labels)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.fam[name]
-	if f == nil {
-		return nil
+	var inst any
+	if f := r.fam[name]; f != nil {
+		inst = f.series[key]
 	}
-	return f.series[key]
-}
-
-// SampleCounter reads a counter series (direct or CounterFunc view).
-// The bool is false when the series does not exist or is not a
-// counter.
-func (r *Registry) SampleCounter(name string, labels ...string) (uint64, bool) {
-	switch inst := r.lookup(name, labels).(type) {
+	r.mu.Unlock()
+	switch inst := inst.(type) {
 	case *Counter:
 		return inst.Value(), true
 	case func() uint64:
 		return inst(), true
 	}
 	return 0, false
-}
-
-// SampleGauge reads a gauge series (direct or GaugeFunc view).
-func (r *Registry) SampleGauge(name string, labels ...string) (int64, bool) {
-	switch inst := r.lookup(name, labels).(type) {
-	case *Gauge:
-		return inst.Value(), true
-	case func() int64:
-		return inst(), true
-	}
-	return 0, false
-}
-
-// SampleHistogram snapshots a histogram series.
-func (r *Registry) SampleHistogram(name string, labels ...string) (HistSnapshot, bool) {
-	if h, ok := r.lookup(name, labels).(*Histogram); ok {
-		return h.Snapshot(), true
-	}
-	return HistSnapshot{}, false
 }

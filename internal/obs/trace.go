@@ -20,7 +20,6 @@ const (
 	EvCkptInstall   EventKind = "ckpt_install"   // checkpoint certificate installed
 	EvStateTransfer EventKind = "state_transfer" // lagging-replica state request/reply
 	EvWalSync       EventKind = "wal_sync"       // durable log fsync batch
-	EvAutoscale     EventKind = "autoscale"      // autoscaler decision (resize/hold)
 )
 
 // Event is one structured consensus trace record.

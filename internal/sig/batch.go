@@ -83,6 +83,9 @@ const DefaultCacheSize = 1 << 14
 // NewCache wraps inner with a verified-signature cache of the given
 // per-generation size (0 = DefaultCacheSize). If inner is already a
 // *Cache it is returned as-is — double wrapping only adds latency.
+// The young generation is allocated at full size on purpose: growing it
+// on demand measured slower end to end (bench/ sharded-scan, 2 cores:
+// setup_s +25 %, update_p95_ms +20 %, 4 of 4 pairs).
 func NewCache(inner Keychain, size int) *Cache {
 	if c, ok := inner.(*Cache); ok {
 		return c

@@ -396,13 +396,15 @@ func TestMixedCodecCluster(t *testing.T) {
 			})
 		}
 	}
-	// The byte counters saw real traffic in both directions.
-	if tx := nodes[1].wireBytesTx[2].Value(); tx == 0 {
-		t.Fatal("no bytes counted on a binary link")
-	}
-	if rx := nodes[0].wireBytesRx[1].Value(); rx == 0 {
-		t.Fatal("no bytes counted toward the JSON-pinned node")
-	}
+	// The byte counters saw real traffic in both directions. p0 may
+	// decide from p2/p3 before its readLoop counts p1's first frame, so
+	// wait for the counters rather than reading them once.
+	waitFor(t, "bytes counted on a binary link", func() bool {
+		return nodes[1].wireBytesTx[2].Value() > 0
+	})
+	waitFor(t, "bytes counted toward the JSON-pinned node", func() bool {
+		return nodes[0].wireBytesRx[1].Value() > 0
+	})
 }
 
 // TestPlainCodecInterop pins the fallback encoding: a PlainCodec node

@@ -9,11 +9,9 @@ import (
 	"bgla/internal/obs"
 )
 
-// Target is the closure seam the driver submits ops through. The
-// bench harness binds these to bgla.Store's UpdateCtx/ReadCtx/ScanCtx
-// (see internal/exp); tests bind fakes. A closure struct rather than
-// an interface keeps this package import-free of bgla so internal/sim
-// can reuse the generators.
+// Target is the closure seam the driver submits ops through. Tests
+// bind these to bgla.Store's UpdateCtx/ReadCtx/ScanCtx or to fakes; a
+// closure struct keeps this package import-free of bgla.
 type Target struct {
 	Update func(ctx context.Context, body string) error
 	Read   func(ctx context.Context, key string) error
@@ -76,8 +74,6 @@ type Driver struct {
 	completed atomic.Uint64
 	shed      atomic.Uint64
 	errors    atomic.Uint64
-
-	pauseMu sync.Mutex // held by Pause to fence dispatch (autoscale drain)
 }
 
 // NewDriver validates and builds a driver.
@@ -89,20 +85,6 @@ func NewDriver(cfg DriverConfig) *Driver {
 		cfg.Queue = 2 * cfg.Workers
 	}
 	return &Driver{cfg: cfg}
-}
-
-// InFlight reports ops dispatched but not yet finished — the resize
-// executor drains this to zero (after Pause) before scanning.
-func (d *Driver) InFlight() uint64 {
-	return d.started.Load() - d.completed.Load() - d.errors.Load()
-}
-
-// Pause blocks new dispatches until the returned resume func is
-// called; in-flight ops drain naturally. The autoscale executor holds
-// this across drain-and-restart resizes.
-func (d *Driver) Pause() (resume func()) {
-	d.pauseMu.Lock()
-	return d.pauseMu.Unlock
 }
 
 // Run offers cfg.Ops operations and returns once all dispatched ops
@@ -144,13 +126,11 @@ pacing:
 			break pacing
 		}
 		d.offered.Add(1)
-		d.pauseMu.Lock()
 		select {
 		case work <- timedOp{op: op, due: deadline}:
 		default:
 			d.shed.Add(1)
 		}
-		d.pauseMu.Unlock()
 	}
 	close(work)
 	wg.Wait()

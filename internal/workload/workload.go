@@ -2,11 +2,9 @@
 // processes (Poisson, bursty on/off, diurnal trace replay), heavy-
 // tailed key popularity (Zipf, uniform, hot-set), and mixed op blends
 // (update/read/scan) generated from one seeded RNG so every run is
-// replayable. It deliberately does not import package bgla — the root
-// package imports internal/sim, and internal/sim reuses these
-// generators for virtual-time runs, so the driver targets a closure
-// struct instead of *bgla.Store (adapters live in internal/exp).
-// DESIGN.md §11 documents the taxonomy.
+// replayable. It deliberately does not import package bgla: the driver
+// targets a closure struct instead of *bgla.Store, so any harness can
+// drive it. DESIGN.md §11 documents the taxonomy.
 package workload
 
 import (

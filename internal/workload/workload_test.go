@@ -338,26 +338,3 @@ func TestDriverShedsWhenSaturated(t *testing.T) {
 		t.Fatal("open-loop run wedged behind a slow target")
 	}
 }
-
-// TestDriverPause: dispatches are fenced while paused (the autoscale
-// drain window) and resume afterward.
-func TestDriverPause(t *testing.T) {
-	var served atomic.Uint64
-	d := NewDriver(DriverConfig{
-		Target: Target{Update: func(ctx context.Context, body string) error { served.Add(1); return nil }},
-		Gen:    NewGenerator(Config{Arrival: Poisson{Rate: 200_000}, Keys: Uniform{N: 8}, Seed: 8}),
-		Ops:    2000,
-	})
-	resume := d.Pause()
-	done := make(chan Result, 1)
-	go func() { done <- d.Run(context.Background()) }()
-	time.Sleep(20 * time.Millisecond)
-	if served.Load() != 0 {
-		t.Fatal("ops served while paused")
-	}
-	resume()
-	res := <-done
-	if res.Completed == 0 {
-		t.Fatal("no ops after resume")
-	}
-}

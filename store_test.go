@@ -26,10 +26,18 @@ func newTestStore(t *testing.T, shards int, mutes [][]int) *Store {
 }
 
 // TestStoreMixedWorkload drives every CRDT command family through a
-// 4-shard store and checks that the merged Scan folds to exactly the
-// same views an unsharded cluster would produce.
+// store at S ∈ {1, 2, 4, 8} and checks that the merged Scan folds to
+// exactly the same views an unsharded cluster would produce.
 func TestStoreMixedWorkload(t *testing.T) {
-	st := newTestStore(t, 4, nil)
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			testStoreMixedWorkload(t, shards)
+		})
+	}
+}
+
+func testStoreMixedWorkload(t *testing.T, shards int) {
+	st := newTestStore(t, shards, nil)
 
 	keys := []string{"alpha", "beta", "gamma", "delta", "weird|key", `esc\`}
 	for i, k := range keys {
@@ -77,6 +85,9 @@ func TestStoreMixedWorkload(t *testing.T) {
 		t.Fatalf("CounterView = %d, want 21", got)
 	}
 
+	if shards == 1 {
+		return
+	}
 	// Work actually spread: more than one shard carried flights.
 	stats := st.Stats()
 	busy := 0
