@@ -85,9 +85,10 @@ func toLatticeItems(items []Item) []lattice.Item {
 
 func fromLatticeSet(s lattice.Set) []Item {
 	out := make([]Item, 0, s.Len())
-	for _, it := range s.Items() {
+	s.Each(func(it lattice.Item) bool {
 		out = append(out, Item{Author: int(it.Author), Body: it.Body})
-	}
+		return true
+	})
 	return out
 }
 

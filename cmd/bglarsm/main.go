@@ -149,7 +149,7 @@ func openNodeLog(datadir, fsync string, shardIdx, replica int, clientID ident.Pr
 	recovered, maxSeq := 0, 0
 	if rec := p.Recovered(); rec != nil && !rec.Empty() {
 		decided := rec.Decided()
-		recovered = rsm.StripNops(decided).Len()
+		recovered = rsm.CountCmds(decided)
 		maxSeq = rsm.MaxSeq(clientID, decided)
 	}
 	return p, recovered, maxSeq, nil
@@ -304,7 +304,7 @@ func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr str
 	if err != nil {
 		return err
 	}
-	decided := rsm.StripNops(state).Len()
+	decided := rsm.CountCmds(state)
 
 	st := pipe.Stats()
 	fmt.Printf("\nreplicated %d commands in %v (%.0f ops/sec)\n",
@@ -511,7 +511,7 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 		if err != nil {
 			return fmt.Errorf("shard %d read: %w", s, err)
 		}
-		cmds := rsm.StripNops(state).Len()
+		cmds := rsm.CountCmds(state)
 		st := pipes[s].Stats()
 		fmt.Printf("shard %d: %d commands decided, %d flights, avg batch %.2f\n",
 			s, cmds, st.Flights, st.AvgBatch())
@@ -548,7 +548,7 @@ func (rp *replicaProgress) follow(events <-chan proto.Event) {
 		if !ok {
 			continue
 		}
-		n := rsm.StripNops(d.Value).Len()
+		n := rsm.CountCmds(d.Value)
 		rp.mu.Lock()
 		rp.rounds++
 		if n > rp.cmds {

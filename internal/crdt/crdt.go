@@ -170,14 +170,14 @@ func RoutingKey(body string) (key string, ok bool) {
 func SetView(s lattice.Set) []string {
 	added := map[string]bool{}
 	removed := map[string]bool{}
-	for _, it := range s.Items() {
+	s.Each(func(it lattice.Item) bool {
 		tag, rest, ok := strings.Cut(stripUnique(it.Body), "|")
 		if !ok {
-			continue
+			return true
 		}
 		elem, okE := unescapeTail(rest)
 		if !okE {
-			continue
+			return true
 		}
 		switch tag {
 		case tagAdd:
@@ -185,7 +185,8 @@ func SetView(s lattice.Set) []string {
 		case tagRem:
 			removed[elem] = true
 		}
-	}
+		return true
+	})
 	var out []string
 	for e := range added {
 		if !removed[e] {
@@ -201,14 +202,14 @@ func SetView(s lattice.Set) []string {
 // unique items in the lattice).
 func CounterView(s lattice.Set) int64 {
 	var total int64
-	for _, it := range s.Items() {
+	s.Each(func(it lattice.Item) bool {
 		tag, rest, ok := strings.Cut(stripUnique(it.Body), "|")
 		if !ok {
-			continue
+			return true
 		}
 		v, err := strconv.ParseUint(rest, 10, 63)
 		if err != nil {
-			continue
+			return true
 		}
 		switch tag {
 		case tagInc:
@@ -216,7 +217,8 @@ func CounterView(s lattice.Set) int64 {
 		case tagDec:
 			total -= int64(v)
 		}
-	}
+		return true
+	})
 	return total
 }
 
@@ -229,32 +231,33 @@ func MapView(s lattice.Set) map[string]string {
 		value string
 	}
 	best := map[string]winner{}
-	for _, it := range s.Items() {
+	s.Each(func(it lattice.Item) bool {
 		tag, rest, ok := strings.Cut(stripUnique(it.Body), "|")
 		if !ok || tag != tagPut {
-			continue
+			return true
 		}
 		stampStr, rest2, ok := strings.Cut(rest, "|")
 		if !ok {
-			continue
+			return true
 		}
 		stamp, err := strconv.ParseUint(stampStr, 10, 64)
 		if err != nil {
-			continue
+			return true
 		}
 		key, rawValue, ok := unescapeKeySplit(rest2)
 		if !ok {
-			continue
+			return true
 		}
 		value, ok := unescapeTail(rawValue)
 		if !ok {
-			continue
+			return true
 		}
 		cur, seen := best[key]
 		if !seen || stamp > cur.stamp || (stamp == cur.stamp && it.Body > cur.body) {
 			best[key] = winner{stamp: stamp, body: it.Body, value: value}
 		}
-	}
+		return true
+	})
 	out := make(map[string]string, len(best))
 	for k, w := range best {
 		out[k] = w.value

@@ -217,6 +217,68 @@ func TestEachMatchesItems(t *testing.T) {
 	}
 }
 
+// TestFilterMatchesFromItems checks Filter against the sort-and-hash
+// construction it replaces, on flat and anchored sets, with the dropped
+// items in the base, in the window, in both, everywhere or nowhere.
+func TestFilterMatchesFromItems(t *testing.T) {
+	full := seqSet(0, 0, 40)
+	anchored, ok := full.Rebase(NewBase(seqSet(0, 0, 25)))
+	if !ok {
+		t.Fatal("rebase")
+	}
+	drop := map[string]func(Item) bool{
+		"none":   func(Item) bool { return false },
+		"all":    func(Item) bool { return true },
+		"base":   func(it Item) bool { return it.Body < "a0010" },
+		"window": func(it Item) bool { return it.Body >= "a0030" },
+		"both":   func(it Item) bool { return it.Body[4] == '7' },
+	}
+	for _, s := range []Set{full, anchored} {
+		for name, d := range drop {
+			var kept []Item
+			s.Each(func(it Item) bool {
+				if !d(it) {
+					kept = append(kept, it)
+				}
+				return true
+			})
+			want := FromItems(kept...)
+			got := s.Filter(func(it Item) bool { return !d(it) })
+			if got.Len() != want.Len() || got.Digest() != want.Digest() ||
+				!reflect.DeepEqual(got.Items(), want.Items()) {
+				t.Fatalf("%s (anchored=%v): Filter = %v, want %v", name, s.Anchor() != nil, got, want)
+			}
+			if _, _, anchoredOut := got.BaseInfo(); anchoredOut {
+				t.Fatalf("%s: Filter must return a flat set", name)
+			}
+		}
+		if keep := s.Filter(func(Item) bool { return true }); keep.Digest() != s.Digest() {
+			t.Fatal("Filter with keep-all changed the digest")
+		}
+	}
+}
+
+// TestEachMergedIsUnion checks the k-way merge against FromItems over
+// the concatenation: canonical order, shared items once, mixed shapes.
+func TestEachMergedIsUnion(t *testing.T) {
+	anchored, _ := seqSet(0, 0, 30).Rebase(NewBase(seqSet(0, 0, 20)))
+	sets := []Set{seqSet(1, 0, 10), anchored, Empty(), seqSet(2, 5, 15), seqSet(1, 8, 12)}
+	var all, got []Item
+	for _, s := range sets {
+		all = append(all, s.Items()...)
+	}
+	EachMerged(sets, func(it Item) bool { got = append(got, it); return true })
+	if want := FromItems(all...).Items(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("EachMerged = %v, want %v", got, want)
+	}
+	n := 0
+	EachMerged(sets, func(Item) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Fatalf("EachMerged ignored early stop: %d", n)
+	}
+	EachMerged(nil, func(Item) bool { t.Fatal("no sets, no items"); return false })
+}
+
 // TestQuickAppendDeltaMatchesNaive checks the O(delta) extraction
 // against the definitions it replaces, over every operand mix the wire
 // codec meets: flat, anchored on one base, anchored on different bases,

@@ -37,6 +37,16 @@ func (d *Digest) add(h [32]byte) {
 	}
 }
 
+// sub takes one item hash out of the accumulator (lane-wise difference,
+// mod 2^64): the exact inverse of add, so dropping items from a set
+// costs their hashes only.
+func (d *Digest) sub(h [32]byte) {
+	for i := 0; i < len(d); i += 8 {
+		lane := binary.LittleEndian.Uint64(d[i:]) - binary.LittleEndian.Uint64(h[i:])
+		binary.LittleEndian.PutUint64(d[i:], lane)
+	}
+}
+
 // Hex renders the digest as 64 lowercase hex characters.
 func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
 

@@ -34,6 +34,25 @@ func TestQuickIncrementalDigestMatchesRecompute(t *testing.T) {
 	}
 }
 
+// TestQuickSubInvertsAdd: taking an item hash out undoes putting it in,
+// lane carries included, whatever the accumulator held before.
+func TestQuickSubInvertsAdd(t *testing.T) {
+	f := func(x []byte, body string) bool {
+		d := randomSet(x).Digest()
+		h := itemHash(it(3, body))
+		e := d
+		e.add(h)
+		e.sub(h)
+		var z Digest
+		z.sub(h) // 0 − h wraps every lane
+		z.add(h)
+		return e == d && z == EmptyDigest
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuickDeltaRoundTrip: ApplyDelta(base, AppendDelta(s, base)) == s
 // for every base ⊆ s, and AppendDelta refuses non-subset bases.
 func TestQuickDeltaRoundTrip(t *testing.T) {

@@ -178,6 +178,64 @@ func (s Set) Each(fn func(Item) bool) {
 	}
 }
 
+// Filter returns the items of s for which keep reports true, as a flat
+// set. One walk: the items come out of Each already in canonical order,
+// so nothing is sorted, and the digest is s's minus the hashes of the
+// dropped items, so only those are hashed. The result slice is the only
+// allocation.
+func (s Set) Filter(keep func(Item) bool) Set {
+	out := make([]Item, 0, s.Len())
+	dig := s.dig
+	s.Each(func(it Item) bool {
+		if keep(it) {
+			out = append(out, it)
+		} else {
+			dig.sub(itemHash(it))
+		}
+		return true
+	})
+	if len(out) == 0 {
+		return Set{}
+	}
+	return Set{items: out, dig: dig}
+}
+
+// EachMerged calls fn for every item of the union of sets, in canonical
+// order and once each, until fn returns false: a k-way merge over the
+// sets' item sequences that neither sorts nor hashes.
+func EachMerged(sets []Set, fn func(Item) bool) {
+	type head struct {
+		it itemIter
+		v  Item
+		ok bool
+	}
+	hs := make([]head, len(sets))
+	for k, s := range sets {
+		hs[k].it = s.iter()
+		hs[k].v, hs[k].ok = hs[k].it.next()
+	}
+	for {
+		m := -1
+		for k := range hs {
+			if hs[k].ok && (m < 0 || hs[k].v.Less(hs[m].v)) {
+				m = k
+			}
+		}
+		if m < 0 {
+			return
+		}
+		v := hs[m].v
+		if !fn(v) {
+			return
+		}
+		for k := range hs {
+			if hs[k].ok && hs[k].v == v {
+				hs[k].v, hs[k].ok = hs[k].it.next()
+			}
+		}
+	}
+}
+
 // iter walks the logical item sequence (base merged with window).
 type itemIter struct {
 	a, b []Item

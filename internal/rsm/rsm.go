@@ -40,16 +40,23 @@ func IsNop(it lattice.Item) bool { return strings.HasPrefix(it.Body, nopPrefix) 
 
 // StripNops removes read markers from a state — the "executed" view of
 // a decision value (nops modify the replica state like commands but are
-// equivalent to a no-op when executed, §7.2).
-func StripNops(s lattice.Set) lattice.Set {
-	items := make([]lattice.Item, 0, s.Len())
+// equivalent to a no-op when executed, §7.2). One walk of s: only the
+// dropped markers are hashed (lattice.Set.Filter).
+func StripNops(s lattice.Set) lattice.Set { return s.Filter(isCmd) }
+
+func isCmd(it lattice.Item) bool { return !IsNop(it) }
+
+// CountCmds returns the number of commands in a state, read markers not
+// counted: StripNops(s).Len() without building the set.
+func CountCmds(s lattice.Set) int {
+	n := 0
 	s.Each(func(it lattice.Item) bool {
 		if !IsNop(it) {
-			items = append(items, it)
+			n++
 		}
 		return true
 	})
-	return lattice.FromItems(items...)
+	return n
 }
 
 // MaxSeq scans a state for the highest sequence number the given

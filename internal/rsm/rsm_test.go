@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -265,13 +266,59 @@ func TestNopHelpers(t *testing.T) {
 	if IsNop(real) {
 		t.Fatal("real command flagged as nop")
 	}
-	s := lattice.FromItems(nop, real)
-	stripped := StripNops(s)
-	if stripped.Len() != 1 || !stripped.Contains(real) {
-		t.Fatalf("StripNops = %v", stripped)
+
+	// cmds(lo, hi, every) mints sequence numbers lo..hi-1 as commands,
+	// every every-th one a read marker instead (every 0: none).
+	cmds := func(lo, hi, every int) []lattice.Item {
+		var out []lattice.Item
+		for i := lo; i < hi; i++ {
+			if every > 0 && i%every == 0 {
+				out = append(out, NopCmd(100, i))
+			} else {
+				out = append(out, UniqueCmd(100, i, "add(1)"))
+			}
+		}
+		return out
 	}
-	if StripNops(lattice.Empty()).Len() != 0 {
-		t.Fatal("StripNops on empty")
+	// anchored rebases base ∪ window on the base prefix.
+	anchored := func(base, window []lattice.Item) lattice.Set {
+		b := lattice.FromItems(base...)
+		s, ok := b.Union(lattice.FromItems(window...)).Rebase(lattice.NewBase(b))
+		if !ok {
+			t.Fatal("rebase")
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		s    lattice.Set
+	}{
+		{"empty", lattice.Empty()},
+		{"flat", lattice.FromItems(nop, real)},
+		{"flat-mixed", lattice.FromItems(cmds(0, 40, 5)...)},
+		{"anchored-nops-in-base", anchored(cmds(0, 30, 5), cmds(30, 50, 0))},
+		{"anchored-nops-in-window", anchored(cmds(0, 30, 0), cmds(30, 50, 5))},
+		{"anchored-nops-in-both", anchored(cmds(0, 30, 5), cmds(30, 50, 5))},
+		{"all-nop", anchored(cmds(0, 30, 1), cmds(30, 40, 1))},
+		{"no-nop", anchored(cmds(0, 30, 0), cmds(30, 40, 0))},
+	}
+	for _, tc := range cases {
+		var kept []lattice.Item
+		tc.s.Each(func(it lattice.Item) bool {
+			if !IsNop(it) {
+				kept = append(kept, it)
+			}
+			return true
+		})
+		want := lattice.FromItems(kept...)
+		got := StripNops(tc.s)
+		if got.Len() != want.Len() || got.Digest() != want.Digest() ||
+			!reflect.DeepEqual(got.Items(), want.Items()) {
+			t.Fatalf("%s: StripNops = %v, want %v", tc.name, got, want)
+		}
+		if n := CountCmds(tc.s); n != want.Len() {
+			t.Fatalf("%s: CountCmds = %d, want %d", tc.name, n, want.Len())
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"bgla/internal/core"
 	"bgla/internal/core/gwts"
 	"bgla/internal/ident"
+	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/obs"
 	"bgla/internal/proto"
@@ -415,7 +416,21 @@ func (s *Service) ReadCtx(ctx context.Context) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromLatticeSet(rsm.StripNops(v)), nil
+	return readItems(v), nil
+}
+
+// readItems is the result of a confirmed read: the decided value's
+// commands, read markers dropped, in canonical order. One walk of v and
+// one allocation; nothing is sorted or hashed.
+func readItems(v lattice.Set) []Item {
+	out := make([]Item, 0, v.Len())
+	v.Each(func(it lattice.Item) bool {
+		if !rsm.IsNop(it) {
+			out = append(out, Item{Author: int(it.Author), Body: it.Body})
+		}
+		return true
+	})
+	return out
 }
 
 // BatchStats reports pipeline activity: how many operations ran, how

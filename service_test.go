@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bgla/internal/lattice"
+	"bgla/internal/rsm"
 )
 
 func TestServiceCounter(t *testing.T) {
@@ -168,5 +171,65 @@ func TestServiceUpdateBodiesDeduplicated(t *testing.T) {
 	}
 	if got := CounterView(state); got != 2 {
 		t.Fatalf("counter = %d, want 2 (identical bodies must stay distinct)", got)
+	}
+}
+
+// anchoredValue builds a decided value the way a gateway meets it: n
+// items of the client's history, one read marker per 100, anchored on a
+// checkpoint base holding the first three quarters.
+func anchoredValue(tb testing.TB, n int) lattice.Set {
+	tb.Helper()
+	items := make([]lattice.Item, n)
+	for i := range items {
+		if i%100 == 0 {
+			items[i] = rsm.NopCmd(clientID, i)
+		} else {
+			items[i] = rsm.UniqueCmd(clientID, i, IncCmd(1))
+		}
+	}
+	base := lattice.FromItems(items[:n*3/4]...)
+	v, ok := lattice.FromItems(items...).Rebase(lattice.NewBase(base))
+	if !ok {
+		tb.Fatal("rebase")
+	}
+	return v
+}
+
+// TestReadItemsMatchesStripNops pins the confirmed-read result to the
+// strip-then-materialise definition it replaces.
+func TestReadItemsMatchesStripNops(t *testing.T) {
+	for _, v := range []lattice.Set{lattice.Empty(), anchoredValue(t, 1), anchoredValue(t, 250), anchoredValue(t, 1000)} {
+		got, want := readItems(v), fromLatticeSet(rsm.StripNops(v))
+		if len(got) != len(want) || len(got) != rsm.CountCmds(v) {
+			t.Fatalf("|v|=%d: readItems has %d items, want %d", v.Len(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("|v|=%d: item %d = %v, want %v", v.Len(), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReadItemsOneAlloc: materialising a confirmed read of a 16k-item
+// anchored value allocates the result slice and nothing else.
+func TestReadItemsOneAlloc(t *testing.T) {
+	v := anchoredValue(t, 16_384)
+	if allocs := testing.AllocsPerRun(10, func() { _ = readItems(v) }); allocs != 1 {
+		t.Fatalf("readItems allocs = %v, want 1", allocs)
+	}
+}
+
+// BenchmarkReadItems times the gateway side of a confirmed read against
+// history size: one walk of the anchored value, no sort, no hash.
+func BenchmarkReadItems(b *testing.B) {
+	for _, n := range []int{4_096, 16_384, 65_536} {
+		v := anchoredValue(b, n)
+		b.Run(fmt.Sprintf("history=%dk", n/1024), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				readItems(v)
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"bgla/internal/crdt"
 )
 
 // Snapshot is a Byzantine-tolerant atomic snapshot object, the
@@ -82,13 +84,15 @@ func (s *Snapshot) Scan() (map[string]string, error) {
 	return s.ScanCtx(context.Background())
 }
 
-// ScanCtx is Scan with caller-controlled cancellation.
+// ScanCtx is Scan with caller-controlled cancellation. The confirmed
+// value folds straight through the LWW map view: read markers carry no
+// put tag, so the view skips them without a stripping pass.
 func (s *Snapshot) ScanCtx(ctx context.Context) (map[string]string, error) {
-	state, err := s.svc.ReadCtx(ctx)
+	v, err := s.svc.pipe.Read(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return MapView(state), nil
+	return crdt.MapView(v), nil
 }
 
 // ScanComponent reads one component (empty string when unwritten).

@@ -337,7 +337,7 @@ func (st *Store) ReadCtx(ctx context.Context, key string) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromLatticeSet(rsm.StripNops(v)), nil
+	return readItems(v), nil
 }
 
 // Scan consistency knobs: the rescan loop retries at most
@@ -408,11 +408,18 @@ func (st *Store) ScanCtx(ctx context.Context) ([]Item, error) {
 			return nil, ErrScanContended
 		}
 	}
-	var items []lattice.Item
+	// The stripped views are sorted sets: merge them straight into the
+	// result, with no re-sort and no re-hash.
+	n := 0
 	for _, v := range views {
-		items = append(items, v.Items()...)
+		n += v.Len()
 	}
-	return fromLatticeSet(lattice.FromItems(items...)), nil
+	out := make([]Item, 0, n)
+	lattice.EachMerged(views, func(it lattice.Item) bool {
+		out = append(out, Item{Author: int(it.Author), Body: it.Body})
+		return true
+	})
+	return out, nil
 }
 
 // scanBackoff sleeps a jittered exponential delay before the next
