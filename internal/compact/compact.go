@@ -41,6 +41,9 @@ const preimageTag = "bgla/ckpt/v1|"
 // imageTag domain-separates the folded-image hash.
 const imageTag = "bgla/ckpt/image/v1|"
 
+// imageChunk is the size of the buffer ImageHash feeds SHA-256 with.
+const imageChunk = 4096
+
 // ImageHash hashes the checkpoint prefix's folded CRDT image: the
 // canonical (sorted, length-delimited) item sequence the application
 // fold is a pure function of. Any two replicas holding the same set
@@ -48,18 +51,26 @@ const imageTag = "bgla/ckpt/image/v1|"
 // it before installing, binding the transferred items to the
 // certificate with a plain SHA-256 chain on top of the additive set
 // digest.
+//
+// Each item contributes author (8 bytes LE), body length (8 bytes LE)
+// and body. They are appended to one reused chunk buffer that is
+// written whenever the next item would overflow it, so the allocations
+// per call are constant, not one per item.
 func ImageHash(v lattice.Set) []byte {
 	h := sha256.New()
-	h.Write([]byte(imageTag))
-	var buf [8]byte
+	buf := make([]byte, 0, imageChunk)
+	buf = append(buf, imageTag...)
 	v.Each(func(it lattice.Item) bool {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(it.Author)))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(it.Body)))
-		h.Write(buf[:])
-		h.Write([]byte(it.Body))
+		if len(buf)+16+len(it.Body) > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(it.Author)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(it.Body)))
+		buf = append(buf, it.Body...)
 		return true
 	})
+	h.Write(buf)
 	return h.Sum(nil)
 }
 

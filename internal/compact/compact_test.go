@@ -1,7 +1,12 @@
 package compact
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bgla/internal/ident"
@@ -302,5 +307,125 @@ func TestCountersignAcrossRoundSkew(t *testing.T) {
 	out := tr.RetryPending(lookupAt(6), 10)
 	if len(out) != 1 || out[0].To != 1 || out[0].Sig.Round != 6 {
 		t.Fatalf("same digest at a skewed round must still be countersigned: %v", out)
+	}
+}
+
+// goldenSet is a fixed set whose image hash is pinned below: authors of
+// both signs, an empty body, multi-byte UTF-8 and a body longer than
+// ImageHash's chunk buffer.
+func goldenSet() lattice.Set {
+	return lattice.FromItems(
+		lattice.Item{Author: -1, Body: ""},
+		lattice.Item{Author: 0, Body: "a"},
+		lattice.Item{Author: 3, Body: "put|k|v"},
+		lattice.Item{Author: 7, Body: strings.Repeat("é", 100)},
+		lattice.Item{Author: 1000, Body: strings.Repeat("x", 5000)},
+	)
+}
+
+// TestImageHashGolden pins the image bytes: they are signed into every
+// checkpoint certificate and persisted in the WAL, so the hashing code
+// may change only if it reproduces them exactly, flat or anchored.
+func TestImageHashGolden(t *testing.T) {
+	const want = "b1c4a16890c58b076e1cdc1d083bec94a7e13f839c13e5740d104b54009c2c46"
+	v := goldenSet()
+	if got := hex.EncodeToString(ImageHash(v)); got != want {
+		t.Fatalf("golden image = %s, want %s", got, want)
+	}
+	anchored := v.TryRebase(lattice.NewBase(lattice.FromItems(v.Items()[:2]...)))
+	if got := hex.EncodeToString(ImageHash(anchored)); got != want {
+		t.Fatalf("anchored golden image = %s, want %s", got, want)
+	}
+	// Bodies that straddle chunk boundaries in every phase.
+	var items []lattice.Item
+	for i := 0; i < 300; i++ {
+		items = append(items, lattice.Item{Author: ident.ProcessID(i % 7), Body: strings.Repeat("b", i*13%977)})
+	}
+	big := lattice.FromItems(items...)
+	ref := sha256.New()
+	ref.Write([]byte(imageTag))
+	var n [8]byte
+	big.Each(func(it lattice.Item) bool {
+		binary.LittleEndian.PutUint64(n[:], uint64(int64(it.Author)))
+		ref.Write(n[:])
+		binary.LittleEndian.PutUint64(n[:], uint64(len(it.Body)))
+		ref.Write(n[:])
+		ref.Write([]byte(it.Body))
+		return true
+	})
+	if !bytes.Equal(ImageHash(big), ref.Sum(nil)) {
+		t.Fatal("chunked image differs from the item-by-item reference")
+	}
+}
+
+// TestImageHashAllocsConstant: the allocations of one ImageHash do not
+// grow with the number of items.
+func TestImageHashAllocsConstant(t *testing.T) {
+	small, large := testSet(16), testSet(4096)
+	a := testing.AllocsPerRun(10, func() { ImageHash(small) })
+	b := testing.AllocsPerRun(10, func() { ImageHash(large) })
+	if a != b || b > 3 {
+		t.Fatalf("ImageHash allocs: %.0f at 16 items, %.0f at 4096, want equal and ≤ 3", a, b)
+	}
+}
+
+// TestImageMemoNeedsSameItems: the tracker reuses an image only for a
+// value lattice.SameItems proves identical to the one it hashed; an
+// equal-digest value on another base object is hashed again (to the
+// same bytes), and an install forgets every image.
+func TestImageMemoNeedsSameItems(t *testing.T) {
+	tr := newTracker(0, sig.NewSim(4, 3), 32)
+	v := testSet(64)
+	b1, b2 := lattice.NewBase(testSet(32)), lattice.NewBase(testSet(32))
+	onB1, onB2 := v.TryRebase(b1), v.TryRebase(b2)
+	first := tr.imageOf(onB1)
+	if again := tr.imageOf(onB1); &again[0] != &first[0] {
+		t.Fatal("the same value must reuse its image")
+	}
+	other := tr.imageOf(onB2)
+	if &other[0] == &first[0] {
+		t.Fatal("an equal digest on another base object must not reuse the image")
+	}
+	if !bytes.Equal(other, first) || !bytes.Equal(tr.imageOf(v), first) {
+		t.Fatal("images of one logical value differ")
+	}
+	tr.ApplyInstall(&Install{Cert: msg.CkptCert{Len: 32}, Value: testSet(32), Base: b1})
+	if again := tr.imageOf(onB1); &again[0] == &first[0] {
+		t.Fatal("an install must clear the image memo")
+	}
+}
+
+// TestInstallRequiresCurrentBase: a certified value must contain the
+// current base. On the tracker's own base object that holds by
+// construction; any other shape is checked item by item and a value
+// missing base items is rejected despite a valid certificate.
+func TestInstallRequiresCurrentBase(t *testing.T) {
+	kc := sig.NewSim(4, 5)
+	signers := []ident.ProcessID{0, 1, 2}
+	tr := newTracker(0, kc, 32)
+	prefix := testSet(32)
+	inst := tr.verifyValue(buildCert(t, kc, signers, 1, 1, prefix), prefix)
+	if inst == nil {
+		t.Fatal("first install rejected")
+	}
+	tr.ApplyInstall(inst)
+
+	next := testSet(48)
+	for name, v := range map[string]lattice.Set{
+		"own base":   next.TryRebase(tr.Base()),
+		"other base": next.TryRebase(lattice.NewBase(prefix)),
+		"flat":       next,
+	} {
+		if tr.verifyValue(buildCert(t, kc, signers, 2, 2, v), v) == nil {
+			t.Errorf("%s: a value containing the base was rejected", name)
+		}
+	}
+	var items []lattice.Item
+	for i := 0; i < 48; i++ {
+		items = append(items, lattice.Item{Author: 2, Body: fmt.Sprintf("other-%04d", i)})
+	}
+	disjoint := lattice.FromItems(items...)
+	if tr.verifyValue(buildCert(t, kc, signers, 2, 2, disjoint), disjoint) != nil {
+		t.Fatal("a certified value missing the current base must be rejected")
 	}
 }

@@ -84,6 +84,17 @@ type Lookup func(dig lattice.Digest, round int) (lattice.Set, bool)
 // evidence has not arrived yet.
 const maxPendingProps = 64
 
+// imageMemoSize is how many (value, image) pairs a tracker remembers
+// between installs: one checkpoint is normally hashed at initiate or
+// countersign time and again at install, for the same value.
+const imageMemoSize = 4
+
+// hashedImage is one ImageHash result and the set it was computed from.
+type hashedImage struct {
+	v     lattice.Set
+	image []byte
+}
+
 // Tracker is the per-replica checkpoint state machine. All methods
 // except Stats must be called from the owning protocol machine's
 // driver goroutine.
@@ -104,6 +115,11 @@ type Tracker struct {
 	signed  map[sigKey]msg.CkptSig
 	collect map[lattice.Digest]*collector
 	pending []msg.CkptProp
+
+	// images remembers the prefixes hashed since the last install (ring
+	// of imageMemoSize); imageNext is the slot to overwrite next.
+	images    [imageMemoSize]hashedImage
+	imageNext int
 
 	stInstalls, stSigs, stCerts, stServed, stReceived atomic.Int64
 	stRequested, stEpoch, stBaseLen                   atomic.Int64
@@ -208,7 +224,7 @@ func (t *Tracker) Initiate(decided lattice.Set, round int) (msg.CkptProp, msg.Ck
 	}
 	t.proposed[dig] = true
 	epoch := t.epoch + 1
-	image := ImageHash(decided)
+	image := t.imageOf(decided)
 	own := Sign(t.cfg.Signer, epoch, round, decided.Len(), dig, image)
 	t.stSigs.Add(1)
 	t.signed[sigKey{dig: dig, round: round}] = own
@@ -273,7 +289,7 @@ func (t *Tracker) RetryPending(lookup Lookup, safeR int) []OutSig {
 			kept = append(kept, p)
 			continue
 		}
-		s := Sign(t.cfg.Signer, p.Epoch, p.Round, p.Len, p.Dig, ImageHash(v))
+		s := Sign(t.cfg.Signer, p.Epoch, p.Round, p.Len, p.Dig, t.imageOf(v))
 		t.signed[sigKey{dig: p.Dig, round: p.Round}] = s
 		t.stSigs.Add(1)
 		out = append(out, OutSig{To: p.From, Sig: s})
@@ -367,16 +383,33 @@ func (t *Tracker) verifyValue(c msg.CkptCert, v lattice.Set) *Install {
 	if v.Digest() != c.Dig || v.Len() != c.Len {
 		return nil
 	}
-	if !bytes.Equal(ImageHash(v), c.Image) {
+	if !bytes.Equal(t.imageOf(v), c.Image) {
 		return nil
 	}
 	// A certified prefix is quorum-committed, hence comparable with our
 	// current (also quorum-committed) base; anything else indicates a
-	// digest collision or a broken signer quorum — reject.
-	if t.base != nil && !t.base.Set().SubsetOf(v) {
+	// digest collision or a broken signer quorum — reject. A value
+	// anchored on our own base object contains it by construction;
+	// any other shape is checked on the items.
+	if t.base != nil && v.Anchor() != t.base && !t.base.Set().SubsetOf(v) {
 		return nil
 	}
 	return &Install{Cert: c, Value: v, Base: lattice.NewBase(v)}
+}
+
+// imageOf returns ImageHash(v), reusing a remembered image only when
+// lattice.SameItems proves v holds exactly the items it was computed
+// from; a digest match alone never suffices.
+func (t *Tracker) imageOf(v lattice.Set) []byte {
+	for _, e := range t.images {
+		if e.image != nil && lattice.SameItems(e.v, v) {
+			return e.image
+		}
+	}
+	image := ImageHash(v)
+	t.images[t.imageNext] = hashedImage{v: v, image: image}
+	t.imageNext = (t.imageNext + 1) % imageMemoSize
+	return image
 }
 
 // ApplyInstall adopts a verified checkpoint: the new base becomes the
@@ -401,6 +434,7 @@ func (t *Tracker) ApplyInstall(inst *Install) {
 	for k := range t.signed {
 		delete(t.signed, k)
 	}
+	t.images = [imageMemoSize]hashedImage{}
 	kept := t.pending[:0]
 	for _, p := range t.pending {
 		if p.Len > baseLen {

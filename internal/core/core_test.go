@@ -241,3 +241,62 @@ func TestQuickSVSUnionMatchesFold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoundSVSInstall: one install pass freezes the rounds before the
+// cutoff onto the cutoff's universe, seeds every universe with the
+// certified value and anchors each on the new base, without changing
+// what is safe where.
+func TestRoundSVSInstall(t *testing.T) {
+	rs := NewRoundSVS()
+	for r := 0; r < 6; r++ {
+		rs.Add(r, 0, lattice.FromStrings(0, string(rune('a'+r))))
+	}
+	certified := lattice.FromStrings(0, "a", "b", "c").Union(lattice.FromStrings(5, "undisclosed"))
+	base := lattice.NewBase(certified)
+	rs.Install(4, 3, certified, base)
+	if rs.Count(0) != 0 || rs.Count(2) != 0 || rs.Count(3) != 1 {
+		t.Fatal("rounds before the cutoff must be frozen, the rest kept")
+	}
+	if !rs.UnionAt(0).Equal(rs.UnionAt(2)) || !rs.SafeAt(0, lattice.FromStrings(0, "c")) {
+		t.Fatal("frozen rounds must alias the cutoff's universe")
+	}
+	for r := 0; r <= 5; r++ {
+		u := rs.UnionAt(r)
+		if !certified.SubsetOf(u) || u.Anchor() != base {
+			t.Fatalf("round %d universe not seeded and anchored on the base", r)
+		}
+	}
+	if rs.SafeAt(3, lattice.FromStrings(0, "e")) || !rs.SafeAt(4, lattice.FromStrings(0, "e")) {
+		t.Fatal("install changed which round a disclosure is safe from")
+	}
+}
+
+// TestAckTallyRebase: every tuple of a value containing the base, and
+// the digest index, end up anchored on it; a value smaller than the
+// base is left as it was.
+func TestAckTallyRebase(t *testing.T) {
+	tal := NewAckTally()
+	big := lattice.FromStrings(0, "a", "b", "c", "d")
+	small := lattice.FromStrings(0, "a")
+	for p := 0; p < 3; p++ {
+		tal.Add(identpkg.ProcessID(p), big, 0, uint32(p), 1)
+		tal.Add(identpkg.ProcessID(p), small, 0, uint32(p), 0)
+	}
+	base := lattice.NewBase(lattice.FromStrings(0, "a", "b"))
+	tal.Rebase(base)
+	for k, v := range tal.values {
+		switch k.Dig {
+		case big.Digest():
+			if v.Anchor() != base || !v.Equal(big) {
+				t.Fatal("superset tuple not rebased")
+			}
+		case small.Digest():
+			if v.Anchor() != nil {
+				t.Fatal("a value smaller than the base must stay as it was")
+			}
+		}
+	}
+	if v, _ := tal.ValueByDigest(big.Digest()); v.Anchor() != base {
+		t.Fatal("digest index not rebased")
+	}
+}

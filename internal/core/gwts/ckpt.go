@@ -49,9 +49,18 @@ func (m *Machine) CheckpointCert() (msg.CkptCert, bool) {
 
 // ckLookup resolves quorum-committed values for proposal
 // countersigning: the value must have reached the ack quorum at the
-// proposal's round in our own Ack_history.
+// proposal's round in our own Ack_history. When we decided that value
+// ourselves, our decision supplies the items: it is the set ckResolve
+// later hands the install, so the tracker hashes the prefix once.
 func (m *Machine) ckLookup(dig lattice.Digest, round int) (lattice.Set, bool) {
-	return m.tally.QuorumValueAt(dig, round, m.quorum)
+	v, ok := m.tally.QuorumValueAt(dig, round, m.quorum)
+	if !ok {
+		return v, false
+	}
+	if d, mine := m.decidedByDigest(dig); mine {
+		return d, true
+	}
+	return v, true
 }
 
 // ckRetryPending re-evaluates buffered checkpoint proposals; called
@@ -100,16 +109,29 @@ func (m *Machine) onCkptSig(from ident.ProcessID, s msg.CkptSig) []proto.Output 
 	return outs
 }
 
-// ckResolve finds the items behind a certificate digest: the current
-// decided value or any recorded Ack_history value. Authenticity is not
-// needed here — the install path re-verifies the digest and folded
+// ckResolve finds the items behind a certificate digest: one of our
+// retained decisions or any recorded Ack_history value. Authenticity is
+// not needed here — the install path re-verifies the digest and folded
 // image against the certificate.
 func (m *Machine) ckResolve(dig lattice.Digest) (lattice.Set, bool) {
+	if v, ok := m.decidedByDigest(dig); ok {
+		return v, true
+	}
+	return m.tally.ValueByDigest(dig)
+}
+
+// decidedByDigest returns the retained decision with the given digest,
+// newest first. Decisions sit on our own certified base (tryDecide
+// re-anchors them), which lets the tracker reuse an image and check
+// containment structurally.
+func (m *Machine) decidedByDigest(dig lattice.Digest) (lattice.Set, bool) {
 	if m.decided.Digest() == dig {
 		return m.decided, true
 	}
-	if v, ok := m.tally.ValueByDigest(dig); ok {
-		return v, true
+	for i := len(m.decSeq) - 1; i >= 0; i-- {
+		if m.decSeq[i].Digest() == dig {
+			return m.decSeq[i], true
+		}
 	}
 	return lattice.Set{}, false
 }
@@ -196,27 +218,21 @@ func (m *Machine) applyInstall(inst *compact.Install) []proto.Output {
 	m.proposed = m.proposed.Union(v)
 	m.inputs = m.inputs.Union(v)
 
-	rebase := func(s lattice.Set) lattice.Set {
-		if nb, ok := s.Rebase(base); ok {
-			return nb
-		}
-		return s
-	}
-	m.decided = rebase(m.decided)
-	m.accepted = rebase(m.accepted)
-	m.proposed = rebase(m.proposed)
-	m.inputs = rebase(m.inputs)
+	m.decided = m.decided.TryRebase(base)
+	m.accepted = m.accepted.TryRebase(base)
+	m.proposed = m.proposed.TryRebase(base)
+	m.inputs = m.inputs.TryRebase(base)
 	for i := range m.decSeq {
-		m.decSeq[i] = rebase(m.decSeq[i])
+		m.decSeq[i] = m.decSeq[i].TryRebase(base)
 	}
 
 	// The certificate transfers Lemma 12's filtering: seed the safe
 	// universe with the certified prefix so messages over it process
-	// without the original disclosures, then trim and re-anchor.
-	m.svs.Seed(round, v)
+	// without the original disclosures, freeze the rounds behind the
+	// margin and re-anchor, all in one pass; then trim Ack_history.
 	cutoff := round - ckptTrimMargin
+	m.svs.Install(round, cutoff, v, base)
 	if cutoff > 0 {
-		m.svs.Compact(cutoff, base)
 		m.tally.Trim(cutoff)
 		for k, r := range m.acked {
 			if r < cutoff {

@@ -537,6 +537,13 @@ func (m *Machine) tryDecide() []proto.Output {
 	if !found {
 		return nil
 	}
+	// The quorum value may have been acked before our latest install
+	// (flat, or on an older or a peer's base): re-anchor it on our
+	// certified base, or Decided_set would stay O(history) until the
+	// next install.
+	if base := m.CheckpointBase(); base != nil {
+		best = best.TryRebase(base)
+	}
 	m.decided = best
 	m.decSeq = append(m.decSeq, best)
 	m.state = NewRound
@@ -589,15 +596,9 @@ func (m *Machine) maybeAutoAnchor() {
 	}
 	base := lattice.NewBase(m.decided)
 	m.anchor = base
-	rebase := func(s lattice.Set) lattice.Set {
-		if nb, ok := s.Rebase(base); ok {
-			return nb
-		}
-		return s
-	}
-	m.decided = rebase(m.decided)
-	m.proposed = rebase(m.proposed)
-	m.accepted = rebase(m.accepted)
+	m.decided = m.decided.TryRebase(base)
+	m.proposed = m.proposed.TryRebase(base)
+	m.accepted = m.accepted.TryRebase(base)
 	m.svs.RebaseTail(base, 4)
 }
 

@@ -91,17 +91,11 @@ func (m *Machine) Rehydrate(decided lattice.Set, safeR int, cert *msg.CkptCert, 
 	// Rewrite the live sets as base + window, as applyInstall would.
 	if m.ck != nil {
 		if base := m.ck.Base(); base != nil {
-			rebase := func(s lattice.Set) lattice.Set {
-				if nb, ok := s.Rebase(base); ok {
-					return nb
-				}
-				return s
-			}
-			m.decided = rebase(m.decided)
-			m.accepted = rebase(m.accepted)
-			m.proposed = rebase(m.proposed)
-			m.inputs = rebase(m.inputs)
-			m.pendingV = rebase(m.pendingV)
+			m.decided = m.decided.TryRebase(base)
+			m.accepted = m.accepted.TryRebase(base)
+			m.proposed = m.proposed.TryRebase(base)
+			m.inputs = m.inputs.TryRebase(base)
+			m.pendingV = m.pendingV.TryRebase(base)
 		}
 	}
 	m.decSeq = []lattice.Set{m.decided}

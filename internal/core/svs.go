@@ -109,62 +109,27 @@ func (rs *RoundSVS) Count(round int) int {
 // disclosure broadcasts becomes able to process messages over the
 // certified prefix.
 func (rs *RoundSVS) Seed(round int, v lattice.Set) {
-	if round < 0 {
-		round = 0
-	}
-	rs.grow(round)
-	// Trimmed prefixes alias one shared universe (Compact), so dedupe
-	// by digest: the union is computed once per distinct value, keeping
-	// Seed proportional to the active rounds, not the round count.
-	var lastIn, lastOut lattice.Set
-	first := true
-	for r := range rs.cum {
-		if !first && rs.cum[r].Digest() == lastIn.Digest() {
-			rs.cum[r] = lastOut
-			continue
-		}
-		lastIn = rs.cum[r]
-		rs.cum[r] = rs.cum[r].Union(v)
-		lastOut = rs.cum[r]
-		first = false
-	}
+	rs.grow(max(round, 0))
+	rs.eachUniverse(0, func(u lattice.Set) lattice.Set { return u.Union(v) })
 }
 
-// Compact re-anchors the cumulative universes on a certified base
-// (pure representation change — digests are preserved) and freezes
-// rounds before the cutoff: their disclosure maps are dropped and
-// their universes alias the cutoff's, which is sound for the
-// uniformly-used SAFEA predicate because safety is monotone in the
-// universe (DESIGN.md §2 note 1).
-func (rs *RoundSVS) Compact(before int, base *lattice.Base) {
-	cut := before
-	if cut > len(rs.cum) {
-		cut = len(rs.cum)
-	}
+// Install applies a checkpoint install to the safe universes in one
+// pass: rounds before the cutoff are frozen first — their disclosure
+// maps are dropped and their universes alias the cutoff's, which is
+// sound for the uniformly-used SAFEA predicate because safety is
+// monotone in the universe (DESIGN.md §2 note 1) — and then every
+// distinct universe is seeded with the certified value v (see Seed)
+// and re-anchored on its base, so each is touched once.
+func (rs *RoundSVS) Install(round, before int, v lattice.Set, base *lattice.Base) {
+	rs.grow(max(round, 0))
+	cut := min(before, len(rs.cum))
 	for r := 0; r < cut; r++ {
 		rs.rounds[r] = nil
 		if r < cut-1 {
 			rs.cum[r] = rs.cum[cut-1]
 		}
 	}
-	if base == nil {
-		return
-	}
-	// Digest-deduped like Seed: aliased prefixes rebase once.
-	var lastIn, lastOut lattice.Set
-	first := true
-	for r := range rs.cum {
-		if !first && rs.cum[r].Digest() == lastIn.Digest() {
-			rs.cum[r] = lastOut
-			continue
-		}
-		lastIn = rs.cum[r]
-		if nb, ok := rs.cum[r].Rebase(base); ok {
-			rs.cum[r] = nb
-		}
-		lastOut = rs.cum[r]
-		first = false
-	}
+	rs.eachUniverse(0, func(u lattice.Set) lattice.Set { return u.Union(v).TryRebase(base) })
 }
 
 // RebaseTail re-anchors only the most recent cumulative universes on
@@ -174,23 +139,23 @@ func (rs *RoundSVS) Compact(before int, base *lattice.Base) {
 // representation and straggler SafeAt lookups over them fall back to
 // the mixed-representation paths, which stay correct.
 func (rs *RoundSVS) RebaseTail(base *lattice.Base, tail int) {
-	start := len(rs.cum) - tail
-	if start < 0 {
-		start = 0
-	}
+	rs.eachUniverse(max(len(rs.cum)-tail, 0), func(u lattice.Set) lattice.Set { return u.TryRebase(base) })
+}
+
+// eachUniverse replaces the cumulative universes from round `from` on
+// by fn of themselves. Frozen prefixes alias one shared universe, so
+// fn runs once per run of equal digests and the run shares its result:
+// the cost follows the distinct universes, not the round count.
+func (rs *RoundSVS) eachUniverse(from int, fn func(lattice.Set) lattice.Set) {
 	var lastIn, lastOut lattice.Set
-	first := true
-	for r := start; r < len(rs.cum); r++ {
-		if !first && rs.cum[r].Digest() == lastIn.Digest() {
+	for r := from; r < len(rs.cum); r++ {
+		if r > from && rs.cum[r].Digest() == lastIn.Digest() {
 			rs.cum[r] = lastOut
 			continue
 		}
 		lastIn = rs.cum[r]
-		if nb, ok := rs.cum[r].Rebase(base); ok {
-			rs.cum[r] = nb
-		}
+		rs.cum[r] = fn(rs.cum[r])
 		lastOut = rs.cum[r]
-		first = false
 	}
 }
 

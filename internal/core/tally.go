@@ -191,16 +191,16 @@ func (t *AckTally) Trim(before int) {
 
 // Rebase re-anchors retained tuple values on a certified base where
 // the base is contained (pure representation change; digests and
-// counts are untouched).
+// counts are untouched). Each distinct value is rebased once, through
+// the digest index, and every tuple carrying that digest and length
+// shares the result; values smaller than the base fail in O(1).
 func (t *AckTally) Rebase(base *lattice.Base) {
-	for k, v := range t.values {
-		if nb, ok := v.Rebase(base); ok {
-			t.values[k] = nb
-		}
-	}
 	for d, v := range t.digVal {
-		if nb, ok := v.Rebase(base); ok {
-			t.digVal[d] = nb
+		t.digVal[d] = v.TryRebase(base)
+	}
+	for k, v := range t.values {
+		if nb := t.digVal[k.Dig]; nb.Anchor() == base && nb.Len() == v.Len() {
+			t.values[k] = nb
 		}
 	}
 }

@@ -347,3 +347,117 @@ func TestQuickAppendDeltaMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rebaseShapes builds one value and one base per Rebase path: flat,
+// already on the base, on the base's previous anchor (the prev/delta
+// path), on an older anchor (the checkpoint-chain path), smaller than
+// the base, and incomparable with it.
+func rebaseShapes(t *testing.T) []struct {
+	name string
+	s    Set
+	base *Base
+} {
+	t.Helper()
+	oldest := NewBase(seqSet(0, 0, 20))
+	prev := NewBase(seqSet(0, 0, 40).TryRebase(oldest))
+	next := NewBase(seqSet(0, 0, 60).TryRebase(prev)) // chained: next.prev is prev's digest
+	if next.prev == nil || *next.prev != prev.Digest() {
+		t.Fatal("NewBase of an anchored set must record its chain link")
+	}
+	anchored := func(s Set, b *Base) Set {
+		t.Helper()
+		out, ok := s.Rebase(b)
+		if !ok {
+			t.Fatal("fixture rebase failed")
+		}
+		return out
+	}
+	return []struct {
+		name string
+		s    Set
+		base *Base
+	}{
+		{"flat", seqSet(0, 0, 100), next},
+		{"same-anchor", anchored(seqSet(0, 0, 100), next), next},
+		{"previous-anchor", anchored(seqSet(0, 0, 100), prev), next},
+		{"older-anchor", anchored(seqSet(0, 0, 100), oldest), next},
+		{"smaller-than-base", anchored(seqSet(0, 0, 30), oldest), next},
+		{"incomparable", anchored(seqSet(0, 0, 50).Union(seqSet(0, 70, 120)), oldest), next},
+	}
+}
+
+// TestRebaseShapes checks every Rebase path against a Minus-based
+// reference: ok iff base ⊆ s, and then the same logical items, length
+// and digest, with the window exactly s \ base.
+func TestRebaseShapes(t *testing.T) {
+	for _, tc := range rebaseShapes(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			wantOK := len(tc.base.Set().Minus(tc.s)) == 0
+			got, ok := tc.s.Rebase(tc.base)
+			if ok != wantOK {
+				t.Fatalf("ok = %v, want %v", ok, wantOK)
+			}
+			if !reflect.DeepEqual(got.Items(), tc.s.Items()) || got.Len() != tc.s.Len() || got.Digest() != tc.s.Digest() {
+				t.Fatal("rebase changed the logical value")
+			}
+			if !ok {
+				return
+			}
+			if got.Anchor() != tc.base {
+				t.Fatal("rebased set is not anchored on the base")
+			}
+			if want := tc.s.Minus(tc.base.Set()); !reflect.DeepEqual(got.Window(), append([]Item{}, want...)) {
+				t.Fatalf("window = %d items, want s \\ base = %d", got.WindowLen(), len(want))
+			}
+			if got.TryRebase(tc.base).Anchor() != tc.base {
+				t.Fatal("TryRebase lost the anchor")
+			}
+		})
+	}
+}
+
+// TestRebaseSmallerThanBaseIsFree: a set smaller than the base cannot
+// contain it, so Rebase refuses without walking or allocating — even
+// from an older anchor, where the chain path would otherwise build a
+// window.
+func TestRebaseSmallerThanBaseIsFree(t *testing.T) {
+	shapes := rebaseShapes(t)
+	tc := shapes[4]
+	if tc.name != "smaller-than-base" {
+		t.Fatal("fixture order changed")
+	}
+	var ok bool
+	allocs := testing.AllocsPerRun(100, func() { _, ok = tc.s.Rebase(tc.base) })
+	if ok || allocs != 0 {
+		t.Fatalf("Rebase of a smaller set: ok=%v with %.0f allocs, want false with 0", ok, allocs)
+	}
+}
+
+// TestSameItems: structural identity only. Equal digests and equal
+// logical items over different base objects do not count as "same".
+func TestSameItems(t *testing.T) {
+	prefix := seqSet(0, 0, 50)
+	b1, b2 := NewBase(prefix), NewBase(prefix) // one content, two objects
+	a := seqSet(0, 0, 80).TryRebase(b1)
+	cases := []struct {
+		name string
+		x, y Set
+		want bool
+	}{
+		{"itself", a, a, true},
+		{"same base, window rebuilt", a, seqSet(0, 0, 80).TryRebase(b1), true},
+		{"same items, other base object", a, seqSet(0, 0, 80).TryRebase(b2), false},
+		{"same items, flat", a, seqSet(0, 0, 80), false},
+		{"same base, other window", a, seqSet(0, 0, 81).TryRebase(b1), false},
+		{"both flat, equal", seqSet(0, 0, 80), seqSet(0, 0, 80), true},
+		{"both empty", Empty(), Empty(), true},
+	}
+	for _, tc := range cases {
+		if tc.x.Digest() != tc.y.Digest() && tc.want {
+			t.Fatalf("%s: fixture digests differ", tc.name)
+		}
+		if got := SameItems(tc.x, tc.y); got != tc.want {
+			t.Errorf("%s: SameItems = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -89,20 +89,21 @@ func ParseDigest(s string) (Digest, error) {
 	return d, nil
 }
 
+// itemHashTag domain-separates item hashes.
+const itemHashTag = "bgla/item/v1|"
+
 // itemHash hashes one item with domain separation; the author and body
-// are length-delimited so no two items share a preimage.
+// are length-delimited so no two items share a preimage. The preimage
+// is assembled in a stack buffer (only a body longer than the buffer
+// spills to the heap) and hashed in one call, so hashing allocates
+// nothing per item.
 func itemHash(it Item) [32]byte {
-	h := sha256.New()
-	var buf [8]byte
-	h.Write([]byte("bgla/item/v1|"))
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(it.Author)))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(it.Body)))
-	h.Write(buf[:])
-	h.Write([]byte(it.Body))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var buf [256]byte
+	b := append(buf[:0], itemHashTag...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(it.Author)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(it.Body)))
+	b = append(b, it.Body...)
+	return sha256.Sum256(b)
 }
 
 // digestOf accumulates a digest over a sorted, duplicate-free slice.

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -158,4 +159,41 @@ func BenchmarkUnionSingleItemDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.Union(nv)
 	}
+}
+
+// goldenSet is a fixed set whose digest is pinned below: authors of
+// both signs, an empty body, multi-byte UTF-8 and a body longer than
+// itemHash's stack buffer.
+func goldenSet() Set {
+	return FromItems(
+		Item{Author: -1, Body: ""},
+		Item{Author: 0, Body: "a"},
+		Item{Author: 3, Body: "put|k|v"},
+		Item{Author: 7, Body: strings.Repeat("é", 100)},
+		Item{Author: 1000, Body: strings.Repeat("x", 5000)},
+	)
+}
+
+// TestItemHashGolden pins the item hash bytes: digests are signed into
+// checkpoint preimages and persisted, so any change to the hashing code
+// must reproduce them exactly.
+func TestItemHashGolden(t *testing.T) {
+	if got, want := goldenSet().Digest().Hex(), "8159d90b6e2bc396a1bf6aadab2deb80a7d46731fcb94e06ec38ce0c09cb70e9"; got != want {
+		t.Fatalf("golden set digest = %s, want %s", got, want)
+	}
+	single := Singleton(Item{Author: 3, Body: "put|k|v"}).Digest().Hex()
+	if want := "fa79bc16ee98b729f94af42e25516717cb3874b7f953e60a1309c32903f6d263"; single != want {
+		t.Fatalf("single item digest = %s, want %s", single, want)
+	}
+}
+
+// TestItemHashAllocFree pins itemHash at zero allocations for bodies
+// that fit its stack buffer.
+func TestItemHashAllocFree(t *testing.T) {
+	it := Item{Author: 3, Body: "put|key-00042|value-of-a-typical-size"}
+	var sink [32]byte
+	if allocs := testing.AllocsPerRun(100, func() { sink = itemHash(it) }); allocs != 0 {
+		t.Fatalf("itemHash allocates %.0f times per item, want 0", allocs)
+	}
+	_ = sink
 }

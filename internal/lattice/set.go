@@ -610,6 +610,9 @@ func (s Set) Rebase(base *Base) (Set, bool) {
 	if base == nil || base.Len() == 0 {
 		return s.Flatten(), true
 	}
+	if s.Len() < base.Len() {
+		return s, false // a smaller set cannot contain the base
+	}
 	if s.base != nil && s.base.set.dig == base.set.dig {
 		return Set{items: s.items, dig: s.dig, base: base}, true
 	}
@@ -648,6 +651,36 @@ func (s Set) Rebase(base *Base) (Set, bool) {
 		return s, false
 	}
 	return Set{items: s.Minus(base.set), dig: s.dig, base: base}, true
+}
+
+// TryRebase returns s re-anchored on base when base ⊆ s, and s
+// unchanged otherwise: the shape every "rewrite the live sets as base +
+// window" pass wants.
+func (s Set) TryRebase(base *Base) Set {
+	if nb, ok := s.Rebase(base); ok {
+		return nb
+	}
+	return s
+}
+
+// SameItems reports that a and b hold the same items, proved
+// structurally: both sit on the same *Base pointer (or are both flat)
+// and their windows are equal item by item. It never trusts a digest —
+// unequal digests only reject early — so a caller may reuse anything it
+// computed from one set's items (a checkpoint image hash) for the other.
+func SameItems(a, b Set) bool {
+	if a.base != b.base || len(a.items) != len(b.items) || a.dig != b.dig {
+		return false
+	}
+	if len(a.items) == 0 || &a.items[0] == &b.items[0] {
+		return true // one backing array: the same immutable window
+	}
+	for i, it := range a.items {
+		if it != b.items[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // BaseInfo reports the anchor of a compacted set: the base content
