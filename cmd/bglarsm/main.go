@@ -421,7 +421,7 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 		if err != nil {
 			return err
 		}
-		d.SetSend(node.Send)
+		d.SetSend(node.Send, false)
 		demuxes = append(demuxes, d)
 		nodes = append(nodes, node)
 		node.Start()

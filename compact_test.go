@@ -206,7 +206,7 @@ func TestCrashMidCheckpointRejoins(t *testing.T) {
 	h.quiesce()
 	// Phase 3: restart from empty; the missed disclosures are gone for
 	// good, so only state transfer can cover them.
-	fresh := h.restart(0, 3, 1, every)
+	fresh := h.restart(0, 3)
 	for k := 0; k < 24; k++ {
 		h.update(AddCmd(fmt.Sprintf("mid-post-%02d", k)))
 	}

@@ -17,6 +17,7 @@ package bgla
 // additionally -faultnet.ops to replay a shrunk schedule mask).
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"strings"
@@ -29,8 +30,10 @@ import (
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
+	"bgla/internal/obs"
 	"bgla/internal/proto"
 	"bgla/internal/rsm"
+	"bgla/internal/shard"
 	"bgla/internal/sig"
 	"bgla/internal/wal"
 )
@@ -61,11 +64,10 @@ type harness struct {
 	// Durable-storage state (scenarios with cfg.durable): the shared
 	// deterministic filesystem, per-slot fault hooks, the persister
 	// currently serving each slot, and the persisters swapped in by
-	// restartFromDisk (closed at finish — Service.Close only knows the
+	// restart (closed at finish — Service.Close only knows the
 	// originals).
 	mfs       *wal.MemFS
 	walHooks  map[[2]int]*wal.Hooks
-	walPolicy wal.SyncPolicy
 	pers      map[int]map[int]*wal.Persister
 	freshPers []*wal.Persister
 
@@ -73,7 +75,7 @@ type harness struct {
 }
 
 // storHook returns the (memoized) storage fault hooks for one slot, so
-// the log opened at launch and the one opened by restartFromDisk share
+// the log opened at launch and the one opened by restart share
 // the same injection point.
 func (h *harness) storHook(shard, slot int) *wal.Hooks {
 	k := [2]int{shard, slot}
@@ -101,7 +103,7 @@ type scenarioConfig struct {
 	mutes       []int
 	// durable runs every replica on the WAL storage engine over a
 	// deterministic in-memory filesystem (wal.MemFS); restartable slots
-	// can then restart *from disk* via restartFromDisk. syncMode is the
+	// then restart *from disk* (see restart). syncMode is the
 	// fsync policy ("" = group commit).
 	durable  bool
 	syncMode string
@@ -120,11 +122,6 @@ func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 	}
 	if sc.durable {
 		h.mfs = wal.NewMemFS()
-		pol, err := wal.ParsePolicy(sc.syncMode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.walPolicy = pol
 	}
 	if sc.ckptEvery > 0 {
 		h.kc = sig.NewSim(sc.replicas, seed+0x5eed)
@@ -135,7 +132,6 @@ func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 		maxDelay = 3
 	}
 	hooks := &ServiceHooks{
-		InlineShards: true,
 		NewTransport: func(machines []proto.Machine, opts TransportOptions) Transport {
 			var sched *faultnet.Schedule
 			if sc.sched != nil {
@@ -248,85 +244,43 @@ func (h *harness) read() []Item {
 // quiesce drains the network (a deterministic cut point).
 func (h *harness) quiesce() { h.net.Quiesce() }
 
-// restart swaps a fresh, empty replica into a crashed slot and kicks
-// it; the fresh machine must catch up via checkpoint state transfer.
-// Call only at a quiesced point (the swap is then a deterministic
-// event). Returns the fresh machine.
-func (h *harness) restart(shard, slot, shards, ckptEvery int) *gwts.Machine {
+// restart swaps a fresh replica into a crashed slot and kicks it. The
+// replica is built the way the stack builds every slot (newReplica):
+// on a durable scenario it is rehydrated from its WAL + persisted
+// checkpoint on the harness MemFS — the restart path a real process
+// takes — otherwise it starts empty and must catch up via checkpoint
+// state transfer. Call only at a quiesced point (the swap is then a
+// deterministic event). Returns the fresh machine; a durable slot's
+// persister is h.pers[shard][slot].
+func (h *harness) restart(shard, slot int) *gwts.Machine {
 	h.t.Helper()
-	every := ckptEvery
-	if shards > 1 {
-		every = compact.ScaleEvery(ckptEvery, shards)
-	}
-	rc := rsm.ReplicaConfig{
-		Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-		Clients: []ident.ProcessID{clientID},
-	}
-	if h.kc != nil {
-		rc.Compaction = compact.Config{
-			Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-			Keychain: h.kc, Signer: h.kc.SignerFor(ident.ProcessID(slot)),
-			Every: every,
-		}
-	}
-	fresh, err := rsm.NewReplica(rc)
+	cfg := h.cluster().cfg
+	fresh, p, err := newReplica(cfg, h.kc, shard, slot)
 	if err != nil {
-		h.t.Fatal(err)
+		h.t.Fatalf("seed %d: restart shard %d slot %d: %v", h.seed, shard, slot, err)
 	}
-	h.wrappers[shard][slot].Swap(fresh)
+	if p != nil {
+		h.freshPers = append(h.freshPers, p)
+		h.pers[shard][slot] = p
+		h.wrappers[shard][slot].Swap(p)
+	} else {
+		h.wrappers[shard][slot].Swap(fresh)
+	}
 	h.reps[shard][slot] = fresh
 	kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
-	if shards > 1 {
+	if cfg.Shards > 1 {
 		kick = msg.ShardMsg{Shard: shard, Inner: kick}
 	}
 	h.net.Inject(clientID, ident.ProcessID(slot), kick)
 	return fresh
 }
 
-// restartFromDisk swaps a fresh replica into a crashed durable slot,
-// rehydrated from its WAL + persisted checkpoint on the harness MemFS
-// — the restart path a real process takes. Call only at a quiesced
-// point. Returns the fresh machine; its persister is h.pers[shard][slot].
-func (h *harness) restartFromDisk(shard, slot, shards, ckptEvery int) *gwts.Machine {
-	h.t.Helper()
-	if h.mfs == nil {
-		h.t.Fatal("restartFromDisk on a non-durable scenario")
+// cluster is the Store under test (a Service's one-shard Store).
+func (h *harness) cluster() *Store {
+	if h.store != nil {
+		return h.store
 	}
-	every := ckptEvery
-	if shards > 1 {
-		every = compact.ScaleEvery(ckptEvery, shards)
-	}
-	rc := rsm.ReplicaConfig{
-		Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-		Clients: []ident.ProcessID{clientID},
-	}
-	if h.kc != nil {
-		rc.Compaction = compact.Config{
-			Self: ident.ProcessID(slot), N: h.obs.N, F: h.obs.F,
-			Keychain: h.kc, Signer: h.kc.SignerFor(ident.ProcessID(slot)),
-			Every: every,
-		}
-	}
-	fresh, err := rsm.NewReplica(rc)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	p, err := wal.OpenFor(h.mfs, wal.ReplicaDir("data", shard, slot), wal.Options{
-		Policy: h.walPolicy, Hooks: h.storHook(shard, slot),
-	}, fresh)
-	if err != nil {
-		h.t.Fatalf("seed %d: reopen WAL shard %d slot %d: %v", h.seed, shard, slot, err)
-	}
-	h.freshPers = append(h.freshPers, p)
-	h.pers[shard][slot] = p
-	h.wrappers[shard][slot].Swap(p)
-	h.reps[shard][slot] = fresh
-	kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
-	if shards > 1 {
-		kick = msg.ShardMsg{Shard: shard, Inner: kick}
-	}
-	h.net.Inject(clientID, ident.ProcessID(slot), kick)
-	return fresh
+	return h.svc.st
 }
 
 // finish quiesces, takes a final read, collects replica observations,
@@ -342,7 +296,7 @@ func (h *harness) finish() *faultnet.RunObs {
 		h.svc.Close()
 	}
 	// Close() only knows the launch-time persisters; close the ones
-	// swapped in by restartFromDisk ourselves.
+	// swapped in by restart ourselves.
 	for _, p := range h.freshPers {
 		_ = p.Close()
 	}
@@ -481,7 +435,7 @@ var scenarios = []fullStackScenario{
 				h.update(AddCmd(fmt.Sprintf("down-%02d", k)))
 			}
 			h.quiesce()
-			fresh := h.restart(0, 3, 1, 16)
+			fresh := h.restart(0, 3)
 			for k := 0; k < 24; k++ {
 				h.update(AddCmd(fmt.Sprintf("post-%02d", k)))
 			}
@@ -621,8 +575,8 @@ var scenarios = []fullStackScenario{
 			h.quiesce()
 			var fresh0, fresh1 *gwts.Machine
 			h.net.Atomically(func() {
-				fresh0 = h.restart(0, 3, 2, 16)
-				fresh1 = h.restart(1, 3, 2, 16)
+				fresh0 = h.restart(0, 3)
+				fresh1 = h.restart(1, 3)
 			})
 			h.quiesce()
 			spread("post", 32)
@@ -658,7 +612,7 @@ var scenarios = []fullStackScenario{
 			h.mfs.Crash("", true) // whole-machine power loss
 			h.net.Atomically(func() {
 				for slot := 0; slot < 4; slot++ {
-					h.restartFromDisk(0, slot, 1, 12)
+					h.restart(0, slot)
 				}
 			})
 			h.quiesce()
@@ -700,7 +654,7 @@ var scenarios = []fullStackScenario{
 			// Process crash, not power loss: the disk keeps everything.
 			h.wrappers[0][3].Crash()
 			h.mfs.Crash(wal.ReplicaDir("data", 0, 3), false)
-			fresh := h.restartFromDisk(0, 3, 1, 16)
+			fresh := h.restart(0, 3)
 			h.quiesce()
 			rec := h.pers[0][3].Recovered()
 			if rec == nil || rec.Decided().Len() < 16 || !rec.HasCkpt {
@@ -749,7 +703,7 @@ var scenarios = []fullStackScenario{
 				h.update(AddCmd(fmt.Sprintf("tt-down-%02d", k)))
 			}
 			h.quiesce()
-			fresh := h.restartFromDisk(0, 3, 1, 8)
+			fresh := h.restart(0, 3)
 			h.quiesce()
 			rec := h.pers[0][3].Recovered()
 			if rec == nil || !rec.TornTail {
@@ -797,7 +751,7 @@ var scenarios = []fullStackScenario{
 			h.net.Atomically(func() {
 				for s := 0; s < 2; s++ {
 					for slot := 0; slot < 4; slot++ {
-						h.restartFromDisk(s, slot, 2, 12)
+						h.restart(s, slot)
 					}
 				}
 			})
@@ -884,6 +838,91 @@ func TestFaultnetScenarios(t *testing.T) {
 			t.Logf("%s: %d deliveries, trace %s, seed %d", sc.name, traceA.Lines(), traceA.Fingerprint(), seed)
 		})
 	}
+}
+
+// TestServiceIsOneShardStore: a Service is a Store with one shard.
+// One seeded workload — a mute replica, checkpoints, a durable MemFS
+// and confirmed reads — runs through NewService and through
+// NewStore{Shards: 1}: both must put the bare replicas on the
+// transport (no shard.Demux) and produce byte-identical delivery and
+// consensus traces.
+func TestServiceIsOneShardStore(t *testing.T) {
+	seed := int64(3)
+	if *seedFlag != 0 {
+		seed = *seedFlag
+	}
+	run := func(viaStore bool) (*faultnet.Trace, *obs.Tracer) {
+		trace, cons := &faultnet.Trace{}, &obs.Tracer{}
+		var net *faultnet.Net
+		cfg := ServiceConfig{
+			Replicas: 4, Faulty: 1, MuteReplicas: []int{3}, Seed: seed,
+			CheckpointEvery: 8, DataDir: "data", SyncMode: "record",
+			Obs: ObsConfig{
+				ConsensusTrace: cons,
+				Clock:          obs.ClockFunc(func() uint64 { return net.Now() }),
+			},
+			Hooks: &ServiceHooks{
+				NewTransport: func(machines []proto.Machine, _ TransportOptions) Transport {
+					if len(machines) != 5 {
+						t.Errorf("transport got %d machines, want gateway + 4 replicas", len(machines))
+					}
+					for _, m := range machines {
+						if _, ok := m.(*shard.Demux); ok {
+							t.Errorf("S = 1 put a shard.Demux on the transport (replica %v)", m.ID())
+						}
+					}
+					net = faultnet.New(machines, faultnet.Options{Seed: seed, MaxDelay: 3, Trace: trace})
+					return net
+				},
+				Storage: &StorageHooks{FS: wal.NewMemFS()},
+			},
+		}
+		var update func(string) error
+		var read func() ([]Item, error)
+		var stop func()
+		if viaStore {
+			st, err := NewStore(ShardedConfig{Shards: 1, ServiceConfig: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			update, stop = st.Update, st.Close
+			read = func() ([]Item, error) { return st.Read("") }
+		} else {
+			svc, err := NewService(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			update, read, stop = svc.Update, svc.Read, svc.Close
+		}
+		for k := 0; k < 24; k++ {
+			if err := update(AddCmd(fmt.Sprintf("one-%02d", k))); err != nil {
+				t.Fatalf("seed %d: update %d: %v", seed, k, err)
+			}
+			net.Quiesce()
+			if k%4 == 3 {
+				if _, err := read(); err != nil {
+					t.Fatalf("seed %d: read: %v", seed, err)
+				}
+				net.Quiesce()
+			}
+		}
+		stop()
+		return trace, cons
+	}
+	svcTrace, svcCons := run(false)
+	stTrace, stCons := run(true)
+	if d := faultnet.Diff(svcTrace, stTrace); d != "" {
+		t.Fatalf("seed %d: Service and one-shard Store delivery traces differ: %s", seed, d)
+	}
+	if !bytes.Equal(svcCons.Bytes(), stCons.Bytes()) {
+		t.Fatalf("seed %d: Service and one-shard Store consensus traces differ", seed)
+	}
+	for _, ev := range []string{string(obs.EvCkptInstall), string(obs.EvWalSync)} {
+		if !bytes.Contains(svcCons.Bytes(), []byte(ev)) {
+			t.Fatalf("seed %d: workload never produced a %s event", seed, ev)
+		}
+	}
+	t.Logf("%d deliveries, trace %s, %d consensus events", svcTrace.Lines(), svcTrace.Fingerprint(), svcCons.Len())
 }
 
 // explorerRun executes the explorer's generic scenario (a small

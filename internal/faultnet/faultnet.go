@@ -240,8 +240,8 @@ func (n *Net) Inject(from, to ident.ProcessID, m msg.Msg) {
 // Start/Handle while this network drives it (the dispatcher
 // goroutine): inline shard demuxes route their sub-machines' sends
 // here, so multiplexed protocol traffic is sequenced exactly like a
-// directly-hosted machine's outputs (Store wiring; see
-// bgla.ServiceHooks.InlineShards).
+// directly-hosted machine's outputs (Store wiring: implementing this
+// method is what makes a bgla.Store run its demuxes inline).
 func (n *Net) InjectSync(from, to ident.ProcessID, m msg.Msg) {
 	n.mu.Lock()
 	if !n.stopping {

@@ -119,8 +119,7 @@ func (g *Gateway) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 type DemuxConfig struct {
 	// Self is the process identity shared by all hosted shard replicas.
 	Self ident.ProcessID
-	// Subs[s] is the protocol machine of shard s; a nil entry runs that
-	// shard as a mute Byzantine replica (per-shard fault injection).
+	// Subs[s] is the protocol machine of shard s.
 	Subs []proto.Machine
 	// All lists every transport destination (replica processes and
 	// client gateways) for broadcast expansion: sub-machine broadcasts
@@ -130,13 +129,6 @@ type DemuxConfig struct {
 	// (chanet.Net.Inject or tcpnet.Node.Send). It must be safe for
 	// concurrent use; the Demux calls it from S goroutines.
 	Send func(to ident.ProcessID, m msg.Msg)
-	// Inline drives every sub-machine synchronously on the caller's
-	// goroutine instead of on per-shard workers. Deterministic
-	// transports (internal/faultnet) require it: worker goroutines
-	// would reintroduce scheduling nondeterminism. Self-addressed
-	// outputs are processed through a local FIFO before Handle
-	// returns, like a worker's loop-back.
-	Inline bool
 }
 
 // Demux is the per-process shard multiplexer: a proto.Machine whose
@@ -153,6 +145,7 @@ type DemuxConfig struct {
 // each shard's protocol work proceeds in parallel with its siblings'.
 type Demux struct {
 	cfg     DemuxConfig
+	inline  bool
 	boxes   []*workbox
 	wg      sync.WaitGroup
 	started bool
@@ -217,7 +210,10 @@ func NewDemux(cfg DemuxConfig) (*Demux, error) {
 		return nil, errors.New("shard: no sub-machines")
 	}
 	for s, sub := range cfg.Subs {
-		if sub != nil && sub.ID() != cfg.Self {
+		if sub == nil {
+			return nil, fmt.Errorf("shard: sub-machine %d is nil", s)
+		}
+		if sub.ID() != cfg.Self {
 			return nil, fmt.Errorf("shard: sub-machine %d has identity %v, want %v", s, sub.ID(), cfg.Self)
 		}
 	}
@@ -230,7 +226,15 @@ func NewDemux(cfg DemuxConfig) (*Demux, error) {
 
 // SetSend installs the transport send hook (needed when the transport
 // object itself is constructed around the machine, e.g. tcpnet.Node).
-func (d *Demux) SetSend(send func(to ident.ProcessID, m msg.Msg)) { d.cfg.Send = send }
+// inline drives every sub-machine synchronously on the transport's
+// delivery goroutine instead of on per-shard workers. Deterministic
+// transports (internal/faultnet) require it: worker goroutines would
+// reintroduce scheduling nondeterminism. Self-addressed outputs are
+// then processed through a local FIFO before Handle returns, like a
+// worker's loop-back. Call before Start.
+func (d *Demux) SetSend(send func(to ident.ProcessID, m msg.Msg), inline bool) {
+	d.cfg.Send, d.inline = send, inline
+}
 
 // Shards returns the hosted shard count.
 func (d *Demux) Shards() int { return len(d.cfg.Subs) }
@@ -247,11 +251,8 @@ func (d *Demux) Start() []proto.Output {
 		return nil
 	}
 	d.started = true
-	if d.cfg.Inline {
+	if d.inline {
 		for s, sub := range d.cfg.Subs {
-			if sub == nil {
-				continue
-			}
 			d.inlineRun(s, sub, sub.Start())
 		}
 		return nil
@@ -272,11 +273,8 @@ func (d *Demux) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 		// peer): no shard owns it, drop it on the floor.
 		return nil
 	}
-	if d.cfg.Inline {
+	if d.inline {
 		sub := d.cfg.Subs[sm.Shard]
-		if sub == nil {
-			return nil // mute Byzantine shard
-		}
 		d.inlineRun(sm.Shard, sub, sub.Handle(from, sm.Inner))
 		return nil
 	}
@@ -325,14 +323,6 @@ func (d *Demux) Stop() {
 func (d *Demux) work(s int) {
 	defer d.wg.Done()
 	sub := d.cfg.Subs[s]
-	if sub == nil {
-		// Mute Byzantine shard: swallow traffic, say nothing.
-		for {
-			if _, ok := d.boxes[s].take(); !ok {
-				return
-			}
-		}
-	}
 	d.emit(s, sub.Start())
 	d.drain(sub)
 	for {

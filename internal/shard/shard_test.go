@@ -140,8 +140,8 @@ func TestDemuxIsolatesShardsOverSharedTransport(t *testing.T) {
 	d1, subs1 := mk(1)
 	cl := &collector{self: clientID}
 	net := chanet.New([]proto.Machine{d0, d1, cl}, chanet.Options{})
-	d0.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) })
-	d1.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(1, to, m) })
+	d0.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) }, false)
+	d1.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(1, to, m) }, false)
 	net.Start()
 
 	cmd := lattice.Item{Author: clientID, Body: "x"}
@@ -192,14 +192,25 @@ func TestDemuxIsolatesShardsOverSharedTransport(t *testing.T) {
 	}
 }
 
-// TestDemuxMuteShard: a nil sub swallows its shard's traffic while
+// silent is a mute Byzantine shard instance: it swallows every
+// message and says nothing.
+type silent struct {
+	proto.Recorder
+	self ident.ProcessID
+}
+
+func (s *silent) ID() ident.ProcessID                            { return s.self }
+func (s *silent) Start() []proto.Output                          { return nil }
+func (s *silent) Handle(ident.ProcessID, msg.Msg) []proto.Output { return nil }
+
+// TestDemuxMuteShard: a silent sub swallows its shard's traffic while
 // sibling shards keep answering — per-shard Byzantine fault injection.
 func TestDemuxMuteShard(t *testing.T) {
 	const clientID ident.ProcessID = 100
 	live := &echoMachine{self: 0, instance: 1}
 	d, err := NewDemux(DemuxConfig{
 		Self: 0,
-		Subs: []proto.Machine{nil, live},
+		Subs: []proto.Machine{&silent{self: 0}, live},
 		All:  []ident.ProcessID{0, clientID},
 	})
 	if err != nil {
@@ -207,7 +218,7 @@ func TestDemuxMuteShard(t *testing.T) {
 	}
 	cl := &collector{self: clientID}
 	net := chanet.New([]proto.Machine{d, cl}, chanet.Options{})
-	d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) })
+	d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) }, false)
 	net.Start()
 
 	cmd := lattice.Item{Author: clientID, Body: "x"}
@@ -239,6 +250,9 @@ func TestNewDemuxValidation(t *testing.T) {
 	bad := &echoMachine{self: 7}
 	if _, err := NewDemux(DemuxConfig{Self: 0, Subs: []proto.Machine{bad}}); err == nil {
 		t.Fatal("mismatched sub identity accepted")
+	}
+	if _, err := NewDemux(DemuxConfig{Self: 0, Subs: []proto.Machine{nil}}); err == nil {
+		t.Fatal("nil sub-machine accepted")
 	}
 }
 
@@ -277,26 +291,25 @@ func TestDemuxInlineMode(t *testing.T) {
 	}
 	d, err := NewDemux(DemuxConfig{
 		Self: self,
-		Subs: []proto.Machine{&selfLooper{self: self}, nil}, // shard 1 mute
+		Subs: []proto.Machine{&selfLooper{self: self}, &silent{self: self}}, // shard 1 mute
 		All:  []ident.ProcessID{self, 1, client},
-		Send: func(to ident.ProcessID, m msg.Msg) {
-			sm, ok := m.(msg.ShardMsg)
-			if !ok {
-				t.Errorf("inline demux sent untagged %T", m)
-				return
-			}
-			mu.Lock()
-			sent = append(sent, struct {
-				to ident.ProcessID
-				m  msg.ShardMsg
-			}{to, sm})
-			mu.Unlock()
-		},
-		Inline: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetSend(func(to ident.ProcessID, m msg.Msg) {
+		sm, ok := m.(msg.ShardMsg)
+		if !ok {
+			t.Errorf("inline demux sent untagged %T", m)
+			return
+		}
+		mu.Lock()
+		sent = append(sent, struct {
+			to ident.ProcessID
+			m  msg.ShardMsg
+		}{to, sm})
+		mu.Unlock()
+	}, true)
 	if outs := d.Start(); len(outs) != 0 {
 		t.Fatalf("inline Start returned outputs: %v", outs)
 	}

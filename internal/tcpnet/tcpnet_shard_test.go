@@ -87,7 +87,7 @@ func TestShardEnvelopeOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetSend(node.Send)
+		d.SetSend(node.Send, false)
 		return node, d, recs
 	}
 	nodeA, demA, _ := mk(0)

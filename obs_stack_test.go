@@ -35,7 +35,6 @@ func runTracedScenario(t *testing.T, seed int64) *obs.Tracer {
 			Clock: obs.ClockFunc(func() uint64 { return net.Now() }),
 		},
 		Hooks: &ServiceHooks{
-			InlineShards: true,
 			NewTransport: func(machines []proto.Machine, opts TransportOptions) Transport {
 				net = faultnet.New(machines, faultnet.Options{Seed: seed, MaxDelay: 3})
 				return net

@@ -2,14 +2,9 @@ package bgla
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bgla/internal/batch"
-	"bgla/internal/compact"
-	"bgla/internal/core"
 	"bgla/internal/core/gwts"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
@@ -17,7 +12,6 @@ import (
 	"bgla/internal/obs"
 	"bgla/internal/proto"
 	"bgla/internal/rsm"
-	"bgla/internal/sig"
 	"bgla/internal/wal"
 )
 
@@ -150,11 +144,11 @@ const clientID ident.ProcessID = 1_000_000
 // OpTimeout zero.
 const defaultOpTimeout = 30 * time.Second
 
-// gateway is the Service's in-network presence: it forwards replica
-// notifications to the batching pipeline, which content-matches them
-// against every in-flight batch (no stale-drop window: a live reply is
-// never discarded just because a previous operation's leftovers arrive
-// with it).
+// gateway is the client's in-network presence at S = 1: it forwards
+// replica notifications to the batching pipeline, which content-matches
+// them against every in-flight batch (no stale-drop window: a live
+// reply is never discarded just because a previous operation's
+// leftovers arrive with it). A sharded Store uses shard.Gateway.
 type gateway struct {
 	proto.Recorder
 	deliver func(from ident.ProcessID, m msg.Msg)
@@ -167,7 +161,7 @@ func (g *gateway) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 	return nil
 }
 
-// transportSender adapts the transport to the pipeline.
+// transportSender adapts the transport to an unsharded pipeline.
 type transportSender struct{ net Transport }
 
 func (s transportSender) Send(to ident.ProcessID, m msg.Msg) {
@@ -182,168 +176,18 @@ func (s transportSender) Send(to ident.ProcessID, m msg.Msg) {
 // proposals (GLA decides joins, so batching is semantically free) and
 // several proposals are kept in flight, while each individual call
 // retains the blocking Algorithm 5/6 semantics of the paper's client.
-type Service struct {
-	cfg  ServiceConfig
-	net  Transport
-	gw   *gateway
-	pipe *batch.Pipeline
-	reps []*gwts.Machine
-	pers []*wal.Persister
-	seq  atomic.Int64
-
-	closeOnce sync.Once
-	closed    atomic.Bool
-	frozen    frozenStats
-}
-
-// frozenStats is the terminal snapshot Close captures after teardown,
-// so the Stats surfaces stay stable (and race-free) once the cluster
-// is gone.
-type frozenStats struct {
-	batch      BatchStats
-	compaction CompactionStats
-	storage    StorageStats
-	latency    obs.HistSnapshot
-}
-
-// replicaCompaction builds the per-replica checkpoint configuration
-// (zero when disabled). The keychain is the fast deterministic
-// simulation scheme — the in-process transport already authenticates
-// senders, and DESIGN.md §3 explains why protocol-visible behaviour is
-// identical to Ed25519.
-func replicaCompaction(cfg ServiceConfig, kc sig.Keychain, id ident.ProcessID) compact.Config {
-	if cfg.CheckpointEvery <= 0 && cfg.CheckpointBytes <= 0 {
-		return compact.Config{}
-	}
-	return compact.Config{
-		Self: id, N: cfg.Replicas, F: cfg.Faulty,
-		Keychain: kc, Signer: kc.SignerFor(id),
-		Every: cfg.CheckpointEvery, Bytes: cfg.CheckpointBytes,
-	}
-}
-
-// openReplicaLog opens (and recovers) one replica's durable log,
-// rehydrates the freshly built machine from it, and returns the
-// persisting wrapper to place on the network.
-func openReplicaLog(cfg ServiceConfig, shard, replica int, r *gwts.Machine) (*wal.Persister, error) {
-	opt, err := cfg.walOptions(shard, replica)
-	if err != nil {
-		return nil, err
-	}
-	p, err := wal.OpenFor(cfg.storageFS(), wal.ReplicaDir(cfg.DataDir, shard, replica), opt, r)
-	if err != nil {
-		return nil, fmt.Errorf("bgla: open wal shard %d replica %d: %w", shard, replica, err)
-	}
-	return p, nil
-}
+//
+// A Service is a Store with one shard (DESIGN.md §5): at S = 1 the
+// shard layer is empty, so the wire carries the unwrapped protocol.
+type Service struct{ st *Store }
 
 // NewService builds and starts the cluster.
 func NewService(cfg ServiceConfig) (*Service, error) {
-	if err := core.ValidateConfig(cfg.Replicas, cfg.Faulty); err != nil {
-		return nil, err
-	}
-	if len(cfg.MuteReplicas) > cfg.Faulty {
-		return nil, fmt.Errorf("bgla: %d mute replicas exceed f=%d", len(cfg.MuteReplicas), cfg.Faulty)
-	}
-	for _, i := range cfg.MuteReplicas {
-		if i < 0 || i >= cfg.Replicas {
-			return nil, fmt.Errorf("bgla: mute replica %d out of range", i)
-		}
-	}
-	if cfg.OpTimeout == 0 {
-		cfg.OpTimeout = defaultOpTimeout
-	}
-	cfg.Obs.normalize()
-	mute := ident.NewSet()
-	for _, i := range cfg.MuteReplicas {
-		mute.Add(ident.ProcessID(i))
-	}
-	gw := &gateway{}
-	machines := []proto.Machine{gw}
-	var kc sig.Keychain
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
-		kc = sig.NewSim(cfg.Replicas, cfg.Seed+0x5eed)
-	}
-	var reps []*gwts.Machine
-	var pers []*wal.Persister
-	for i := 0; i < cfg.Replicas; i++ {
-		id := ident.ProcessID(i)
-		if mute.Has(id) {
-			machines = append(machines, cfg.wrapReplica(0, i, &muteMachine{id: id}))
-			continue
-		}
-		rc := rsm.ReplicaConfig{
-			Self: id, N: cfg.Replicas, F: cfg.Faulty,
-			Clients: []ident.ProcessID{clientID},
-			Trace:   cfg.Obs.ConsensusTrace, Clock: cfg.Obs.Clock,
-		}
-		if kc != nil {
-			rc.Compaction = replicaCompaction(cfg, kc, id)
-		}
-		r, err := rsm.NewReplica(rc)
-		if err != nil {
-			return nil, err
-		}
-		m := proto.Machine(r)
-		if cfg.DataDir != "" {
-			p, err := openReplicaLog(cfg, 0, i, r)
-			if err != nil {
-				return nil, err
-			}
-			pers = append(pers, p)
-			m = p
-		}
-		w := cfg.wrapReplica(0, i, m)
-		if w == m {
-			// Replaced slots (adversaries) drop out of stats
-			// aggregation; wrapped slots keep their machine via the
-			// hook's own reference.
-			reps = append(reps, r)
-		}
-		machines = append(machines, w)
-	}
-	net := cfg.newTransport(machines)
-
-	// A restarted client must resume its sequence past everything its
-	// previous incarnation got decided: the lattice is a set, so a
-	// reused (client, seq) command or read marker is absorbed by the
-	// recovered state without a fresh decision and never confirms.
-	startSeq := recoveredSeq(pers)
-
-	// Trigger new_value at f+1 correct replicas: mute ones would relay
-	// nothing, so target the first f+1 non-mute (correct replicas relay
-	// through agreement and all eventually decide either way).
-	var submitTo []ident.ProcessID
-	for i := 0; i < cfg.Replicas && len(submitTo) < core.ReadQuorum(cfg.Faulty); i++ {
-		if id := ident.ProcessID(i); !mute.Has(id) {
-			submitTo = append(submitTo, id)
-		}
-	}
-	pipe, err := batch.New(batch.Config{
-		Client:      clientID,
-		Replicas:    ident.Range(cfg.Replicas),
-		SubmitTo:    submitTo,
-		F:           cfg.Faulty,
-		MaxBatch:    cfg.MaxBatch,
-		MaxDelay:    cfg.MaxBatchDelay,
-		MinBatch:    cfg.MinBatch,
-		MaxInFlight: cfg.MaxInFlight,
-		QueueDepth:  cfg.QueueDepth,
-		OpTimeout:   cfg.OpTimeout,
-		StartSeq:    uint64(startSeq),
-		Registry:    cfg.Obs.Registry,
-		Clock:       cfg.Obs.Clock,
-		Trace:       cfg.Obs.ClientTrace,
-	}, transportSender{net: net})
+	st, err := NewStore(ShardedConfig{Shards: 1, ServiceConfig: cfg})
 	if err != nil {
 		return nil, err
 	}
-	registerClusterViews(cfg.Obs.Registry, reps, pers)
-	gw.deliver = pipe.Deliver
-	net.Start()
-	s := &Service{cfg: cfg, net: net, gw: gw, pipe: pipe, reps: reps, pers: pers}
-	s.seq.Store(int64(startSeq))
-	return s, nil
+	return &Service{st: st}, nil
 }
 
 // recoveredSeq is the highest client sequence number found in any
@@ -362,31 +206,8 @@ func recoveredSeq(pers []*wal.Persister) int {
 }
 
 // Close shuts the cluster down; blocked callers return an error.
-// Idempotent and safe for concurrent use — aggregates like Store fan
-// Close out over many components without coordinating callers, and a
-// second Close (defer + explicit) must not re-stop the network.
-func (s *Service) Close() {
-	s.closeOnce.Do(func() {
-		s.pipe.Close()
-		s.net.Stop()
-		// The transport has quiesced: flush and close the logs last so
-		// every decided record the machines produced is on disk.
-		for _, p := range s.pers {
-			_ = p.Close()
-		}
-		// Everything has stopped moving: freeze the stats surfaces so
-		// post-close snapshots are stable — a scraper (or a test)
-		// reading after Close sees one consistent terminal state, never
-		// a machine mid-teardown.
-		s.frozen = frozenStats{
-			batch:      batchStatsOf(s.pipe),
-			compaction: aggregateCompaction(s.reps),
-			storage:    aggregateStorage(s.pers),
-			latency:    s.pipe.LatencySnapshot(),
-		}
-		s.closed.Store(true)
-	})
-}
+// Idempotent and safe for concurrent use (see Store.Close).
+func (s *Service) Close() { s.st.Close() }
 
 // Update applies a commutative command to the replicated state and
 // returns once the command is durably decided (Algorithm 5). The body
@@ -399,8 +220,7 @@ func (s *Service) Update(body string) error {
 // early (without waiting out OpTimeout) when ctx is cancelled while the
 // operation is queued or in flight.
 func (s *Service) UpdateCtx(ctx context.Context, body string) error {
-	cmd := rsm.UniqueCmd(clientID, int(s.seq.Add(1)), body)
-	return s.pipe.Update(ctx, cmd)
+	return s.st.UpdateCtx(ctx, body)
 }
 
 // Read returns the current confirmed state of the RSM as command items
@@ -412,11 +232,7 @@ func (s *Service) Read() ([]Item, error) {
 
 // ReadCtx is Read with caller-controlled cancellation.
 func (s *Service) ReadCtx(ctx context.Context) ([]Item, error) {
-	v, err := s.pipe.Read(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return readItems(v), nil
+	return s.st.ReadCtx(ctx, "")
 }
 
 // readItems is the result of a confirmed read: the decided value's
@@ -457,27 +273,17 @@ func batchStatsOf(p *batch.Pipeline) BatchStats {
 
 // BatchStats snapshots the batching pipeline's counters. After Close
 // it returns the frozen terminal snapshot.
-func (s *Service) BatchStats() BatchStats {
-	if s.closed.Load() {
-		return s.frozen.batch
-	}
-	return batchStatsOf(s.pipe)
-}
+func (s *Service) BatchStats() BatchStats { return s.st.Stats().Total }
 
 // Metrics returns the registry backing the cluster's instruments (the
 // configured ObsConfig.Registry, or the private one the zero config
 // got). Serve it with obs.Handler for live /metrics and /debug/vars.
-func (s *Service) Metrics() *obs.Registry { return s.cfg.Obs.Registry }
+func (s *Service) Metrics() *obs.Registry { return s.st.Metrics() }
 
 // LatencyStats returns the decision-latency histogram (flight launch
 // to decide quorum, in Clock units — nanoseconds under the wall
 // clock). After Close it returns the frozen terminal snapshot.
-func (s *Service) LatencyStats() obs.HistSnapshot {
-	if s.closed.Load() {
-		return s.frozen.latency
-	}
-	return s.pipe.LatencySnapshot()
-}
+func (s *Service) LatencyStats() obs.HistSnapshot { return s.st.LatencyStats() }
 
 // CompactionStats aggregates the replicas' checkpoint activity: how
 // many certificates were installed, the deepest certified prefix, and
@@ -526,12 +332,7 @@ func aggregateCompaction(reps []*gwts.Machine) CompactionStats {
 // CompactionStats snapshots the correct replicas' checkpoint counters
 // (atomics — safe while the cluster runs). After Close it returns the
 // frozen terminal snapshot.
-func (s *Service) CompactionStats() CompactionStats {
-	if s.closed.Load() {
-		return s.frozen.compaction
-	}
-	return aggregateCompaction(s.reps)
-}
+func (s *Service) CompactionStats() CompactionStats { return s.st.CompactionStats() }
 
 // StorageStats aggregates the replicas' durable-log activity (all zero
 // when DataDir is unset). See wal.Stats for the per-log fields.
@@ -577,12 +378,7 @@ func aggregateStorage(pers []*wal.Persister) StorageStats {
 // StorageStats snapshots the replicas' WAL counters (atomics — safe
 // while the cluster runs). After Close it returns the frozen terminal
 // snapshot.
-func (s *Service) StorageStats() StorageStats {
-	if s.closed.Load() {
-		return s.frozen.storage
-	}
-	return aggregateStorage(s.pers)
-}
+func (s *Service) StorageStats() StorageStats { return s.st.StorageStats() }
 
 // registerClusterViews registers pull-mode registry views over the
 // compaction and storage aggregates, so /metrics exposes the same

@@ -88,7 +88,7 @@ func (s *Snapshot) Scan() (map[string]string, error) {
 // value folds straight through the LWW map view: read markers carry no
 // put tag, so the view skips them without a stripping pass.
 func (s *Snapshot) ScanCtx(ctx context.Context) (map[string]string, error) {
-	v, err := s.svc.pipe.Read(ctx)
+	v, err := s.svc.st.pipes[0].Read(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -79,12 +79,13 @@ type Store struct {
 
 	closeOnce sync.Once
 	closed    atomic.Bool
-	frozen    frozenStoreStats
+	frozen    frozenStats
 }
 
-// frozenStoreStats is the terminal snapshot Close captures after
-// teardown (see Service.Close).
-type frozenStoreStats struct {
+// frozenStats is the terminal snapshot Close captures after teardown,
+// so the stats surfaces stay stable (and race-free) once the cluster
+// is gone.
+type frozenStats struct {
 	store      StoreStats
 	compaction CompactionStats
 	storage    StorageStats
@@ -139,61 +140,57 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 		}
 	}
 
-	all := append(ident.Range(cfg.Replicas), clientID)
-	gw := shard.NewGateway(clientID, cfg.Shards)
-	machines := []proto.Machine{gw}
-	demuxes := make([]*shard.Demux, 0, cfg.Replicas)
-	// Per-shard checkpoint triggers: the configured thresholds are the
-	// store-wide budget, divided across shards (each shard sees ~1/S of
-	// the history) so compaction cadence tracks aggregate load.
 	var kc sig.Keychain
-	shardCfg := cfg.ServiceConfig
-	shardCfg.CheckpointEvery = compact.ScaleEvery(cfg.CheckpointEvery, cfg.Shards)
-	shardCfg.CheckpointBytes = compact.ScaleBytes(cfg.CheckpointBytes, cfg.Shards)
-	if shardCfg.CheckpointEvery > 0 || shardCfg.CheckpointBytes > 0 {
+	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
 		kc = sig.NewSim(cfg.Replicas, cfg.Seed+0x5eed)
 	}
+	// At S = 1 the shard layer is empty: the replicas sit on the
+	// transport directly and the client speaks the unwrapped protocol
+	// (plain gateway and sender, no demux, no envelope).
+	pipes := make([]*batch.Pipeline, cfg.Shards)
+	var gw proto.Machine = &gateway{deliver: func(from ident.ProcessID, m msg.Msg) { pipes[0].Deliver(from, m) }}
+	if cfg.Shards > 1 {
+		sg := shard.NewGateway(clientID, cfg.Shards)
+		sg.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
+		gw = sg
+	}
+	all := append(ident.Range(cfg.Replicas), clientID)
+	machines := []proto.Machine{gw}
+	var demuxes []*shard.Demux
 	var reps []*gwts.Machine
 	var pers []*wal.Persister
 	for i := 0; i < cfg.Replicas; i++ {
 		id := ident.ProcessID(i)
 		subs := make([]proto.Machine, cfg.Shards)
-		for s := 0; s < cfg.Shards; s++ {
-			if mutes[s].Has(id) {
-				continue // nil sub = mute in this shard
-			}
-			rc := rsm.ReplicaConfig{
-				Self: id, N: cfg.Replicas, F: cfg.Faulty,
-				Clients: []ident.ProcessID{clientID},
-				Trace:   cfg.Obs.ConsensusTrace, Clock: cfg.Obs.Clock,
-				Shard: s,
-			}
-			if kc != nil {
-				rc.Compaction = replicaCompaction(shardCfg, kc, id)
-			}
-			r, err := rsm.NewReplica(rc)
-			if err != nil {
-				return nil, err
-			}
-			m := proto.Machine(r)
-			if cfg.DataDir != "" {
-				p, err := openReplicaLog(shardCfg, s, i, r)
-				if err != nil {
+		for s := range subs {
+			var r *gwts.Machine
+			var m proto.Machine = &muteMachine{id: id}
+			if !mutes[s].Has(id) {
+				var p *wal.Persister
+				var err error
+				if r, p, err = newReplica(cfg, kc, s, i); err != nil {
 					return nil, err
 				}
-				pers = append(pers, p)
-				m = p
+				m = r
+				if p != nil {
+					pers = append(pers, p)
+					m = p
+				}
 			}
 			w := cfg.wrapReplica(s, i, m)
-			if w == m {
+			if r != nil && w == m {
+				// Replaced slots (adversaries) drop out of stats
+				// aggregation; wrapped slots keep their machine via the
+				// hook's own reference.
 				reps = append(reps, r)
 			}
 			subs[s] = w
 		}
-		d, err := shard.NewDemux(shard.DemuxConfig{
-			Self: id, Subs: subs, All: all,
-			Inline: cfg.Hooks != nil && cfg.Hooks.InlineShards,
-		})
+		if cfg.Shards == 1 {
+			machines = append(machines, subs[0])
+			continue
+		}
+		d, err := shard.NewDemux(shard.DemuxConfig{Self: id, Subs: subs, All: all})
 		if err != nil {
 			return nil, err
 		}
@@ -201,32 +198,41 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 		machines = append(machines, d)
 	}
 	net := cfg.newTransport(machines)
-	si, hasSync := net.(syncInjector)
+	// A transport that sequences injections from inside Handle
+	// (faultnet) is deterministic: its demuxes run inline on the
+	// delivery goroutine, since shard workers would reintroduce
+	// scheduling nondeterminism.
+	si, inline := net.(syncInjector)
 	for _, d := range demuxes {
-		if hasSync && cfg.Hooks != nil && cfg.Hooks.InlineShards {
-			// Inline demuxes emit on the transport's delivery goroutine:
-			// keep their protocol traffic on the deterministic
-			// machine-sequencing path.
-			d.SetSend(func(to ident.ProcessID, m msg.Msg) { si.InjectSync(d.ID(), to, m) })
-			continue
+		send := func(to ident.ProcessID, m msg.Msg) { net.Inject(d.ID(), to, m) }
+		if inline {
+			send = func(to ident.ProcessID, m msg.Msg) { si.InjectSync(d.ID(), to, m) }
 		}
-		d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(d.ID(), to, m) })
+		d.SetSend(send, inline)
 	}
 
-	// Resume the client sequence past every recovered incarnation (see
-	// recoveredSeq / rsm.MaxSeq); all shards share the client identity,
-	// so every shard pipeline starts beyond the global maximum.
+	// A restarted client must resume its sequence past everything its
+	// previous incarnation got decided: the lattice is a set, so a
+	// reused (client, seq) command or read marker is absorbed by the
+	// recovered state without a fresh decision and never confirms. All
+	// shards share the client identity, so every shard pipeline starts
+	// beyond the global maximum.
 	startSeq := recoveredSeq(pers)
 
-	pipes := make([]*batch.Pipeline, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		// Trigger new_value at f+1 replicas correct *in this shard*
-		// (mute shard instances relay nothing; see Service).
+	for s := range pipes {
+		// Trigger new_value at f+1 replicas correct *in this shard*:
+		// mute ones would relay nothing, so target the first f+1
+		// non-mute (correct replicas relay through agreement and all
+		// eventually decide either way).
 		var submitTo []ident.ProcessID
 		for i := 0; i < cfg.Replicas && len(submitTo) < core.ReadQuorum(cfg.Faulty); i++ {
 			if id := ident.ProcessID(i); !mutes[s].Has(id) {
 				submitTo = append(submitTo, id)
 			}
+		}
+		var send batch.Sender = transportSender{net: net}
+		if cfg.Shards > 1 {
+			send = shard.NewSender(s, func(to ident.ProcessID, m msg.Msg) { net.Inject(clientID, to, m) })
 		}
 		p, err := batch.New(batch.Config{
 			Client:      clientID,
@@ -244,9 +250,7 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 			Shard:       s,
 			Clock:       cfg.Obs.Clock,
 			Trace:       cfg.Obs.ClientTrace,
-		}, shard.NewSender(s, func(to ident.ProcessID, m msg.Msg) {
-			net.Inject(clientID, to, m)
-		}))
+		}, send)
 		if err != nil {
 			for _, q := range pipes {
 				if q != nil {
@@ -257,7 +261,6 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 		}
 		pipes[s] = p
 	}
-	gw.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
 	net.Start()
 	st := &Store{
 		cfg: cfg, net: net, demuxes: demuxes, pipes: pipes, reps: reps, pers: pers,
@@ -272,9 +275,55 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 	return st, nil
 }
 
+// newReplica builds the correct replica of one (shard, slot): the §7
+// replica with its shard's checkpoint configuration (the configured
+// thresholds are the store-wide budget, divided across shards — each
+// shard sees ~1/S of the history — so compaction cadence tracks
+// aggregate load) and, when DataDir is set, its durable log, from which
+// the fresh machine is rehydrated before it touches the network; the
+// returned persister is then the machine to place there. kc is the
+// cluster keychain (nil when compaction is off): the fast deterministic
+// simulation scheme — the in-process transport already authenticates
+// senders, and DESIGN.md §3 explains why protocol-visible behaviour is
+// identical to Ed25519.
+func newReplica(cfg ShardedConfig, kc sig.Keychain, shard, slot int) (*gwts.Machine, *wal.Persister, error) {
+	id := ident.ProcessID(slot)
+	rc := rsm.ReplicaConfig{
+		Self: id, N: cfg.Replicas, F: cfg.Faulty,
+		Clients: []ident.ProcessID{clientID},
+		Trace:   cfg.Obs.ConsensusTrace, Clock: cfg.Obs.Clock,
+		Shard: shard,
+	}
+	if kc != nil {
+		rc.Compaction = compact.Config{
+			Self: id, N: cfg.Replicas, F: cfg.Faulty,
+			Keychain: kc, Signer: kc.SignerFor(id),
+			Every: compact.ScaleEvery(cfg.CheckpointEvery, cfg.Shards),
+			Bytes: compact.ScaleBytes(cfg.CheckpointBytes, cfg.Shards),
+		}
+	}
+	r, err := rsm.NewReplica(rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.DataDir == "" {
+		return r, nil, nil
+	}
+	opt, err := cfg.walOptions(shard, slot)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := wal.OpenFor(cfg.storageFS(), wal.ReplicaDir(cfg.DataDir, shard, slot), opt, r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bgla: open wal shard %d replica %d: %w", shard, slot, err)
+	}
+	return r, p, nil
+}
+
 // Close shuts the whole cluster down: every shard pipeline, every
 // replica's shard workers, then the transport. Idempotent and safe to
-// call concurrently; blocked callers return an error.
+// call concurrently (a second Close — defer plus explicit — must not
+// re-stop the network); blocked callers return an error.
 func (st *Store) Close() {
 	st.closeOnce.Do(func() {
 		for _, p := range st.pipes {
@@ -291,9 +340,10 @@ func (st *Store) Close() {
 		for _, p := range st.pers {
 			_ = p.Close()
 		}
-		// Freeze the stats surfaces (see Service.Close): post-close
-		// snapshots return one consistent terminal state.
-		st.frozen = frozenStoreStats{
+		// Everything has stopped moving: freeze the stats surfaces so a
+		// scraper (or a test) reading after Close sees one consistent
+		// terminal state, never a machine mid-teardown.
+		st.frozen = frozenStats{
 			store:      st.liveStats(),
 			compaction: aggregateCompaction(st.reps),
 			storage:    aggregateStorage(st.pers),
@@ -443,16 +493,17 @@ func (st *Store) scanBackoff(ctx context.Context, attempt int) error {
 }
 
 // collect runs one pass of per-shard confirmed reads and returns the
-// nop-stripped views. The pass is parallel in production; under the
-// deterministic harness (Hooks.InlineShards) it reads shard by shard,
-// so the transport only ever sees one outstanding client burst — the
-// property that makes admission placement timing-independent
-// (internal/faultnet; the double-collect consistency argument of
-// DESIGN.md §5 never depended on intra-pass parallelism).
+// nop-stripped views. The pass is parallel in production; on a
+// deterministic transport (one that implements syncInjector, i.e.
+// internal/faultnet) it reads shard by shard, so the transport only
+// ever sees one outstanding client burst — the property that makes
+// admission placement timing-independent (the double-collect
+// consistency argument of DESIGN.md §5 never depended on intra-pass
+// parallelism).
 func (st *Store) collect(ctx context.Context) ([]lattice.Set, error) {
 	st.scanPasses.Add(1)
 	views := make([]lattice.Set, st.cfg.Shards)
-	if st.cfg.Hooks != nil && st.cfg.Hooks.InlineShards {
+	if _, inline := st.net.(syncInjector); inline {
 		for s := range st.pipes {
 			v, err := st.pipes[s].Read(ctx)
 			if err != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bgla/internal/proto"
 )
 
 func newTestStore(t *testing.T, shards int, mutes [][]int) *Store {
@@ -143,6 +145,40 @@ func TestStoreSingleShardMatchesService(t *testing.T) {
 	st2 := st.Stats()
 	if st2.Scans != 1 || st2.ScanPasses != 1 {
 		t.Fatalf("single-shard scan must not rescan: %+v", st2)
+	}
+}
+
+// TestStoreWrapReplicaSeesMuteStandIn: a mute (shard, slot) is built
+// the way every slot is — its mute stand-in goes through the
+// WrapReplica hook like a correct replica does.
+func TestStoreWrapReplicaSeesMuteStandIn(t *testing.T) {
+	got := map[[2]int]proto.Machine{}
+	st, err := NewStore(ShardedConfig{
+		Shards: 2,
+		ServiceConfig: ServiceConfig{
+			Replicas: 4, Faulty: 1,
+			Hooks: &ServiceHooks{WrapReplica: func(shard, replica int, m proto.Machine) proto.Machine {
+				got[[2]int{shard, replica}] = m
+				return nil
+			}},
+		},
+		ShardMutes: [][]int{nil, {3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if len(got) != 8 {
+		t.Fatalf("WrapReplica saw %d slots, want all 8", len(got))
+	}
+	for slot, m := range got {
+		_, mute := m.(*muteMachine)
+		if want := slot == [2]int{1, 3}; mute != want {
+			t.Fatalf("slot %v: WrapReplica got %T, mute stand-in = %v, want %v", slot, m, mute, want)
+		}
+	}
+	if err := st.Update(IncCmd(1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

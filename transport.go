@@ -31,8 +31,10 @@ type Transport interface {
 // syncInjector is an optional Transport capability: enqueue a message
 // synchronously from within a machine Handle running on the
 // transport's own delivery goroutine, preserving deterministic
-// sequencing. The Store routes inline shard-demux sends through it
-// (faultnet implements it; the live transports don't need it).
+// sequencing. A transport that implements it is deterministic: the
+// Store then runs its shard demuxes inline and routes their sends
+// through it, and reads a Scan's shards one by one (faultnet
+// implements it; the live transports don't).
 type syncInjector interface {
 	InjectSync(from, to ident.ProcessID, m msg.Msg)
 }
@@ -53,8 +55,9 @@ type TransportOptions struct {
 // compact.Restartable) into full-stack replica slots.
 type ServiceHooks struct {
 	// NewTransport replaces the default chanet transport. The machine
-	// list is the full cluster: replica slots in ID order plus the
-	// client gateway.
+	// list is the full cluster: the client gateway, then one machine
+	// per replica process in ID order (its slot's replica at S = 1, its
+	// shard.Demux otherwise).
 	NewTransport func(machines []proto.Machine, opts TransportOptions) Transport
 
 	// WrapReplica may wrap or replace the machine of replica slot
@@ -66,12 +69,6 @@ type ServiceHooks struct {
 	// bypasses the MuteReplicas validation, so scenarios are
 	// responsible for staying within n >= 3f+1.
 	WrapReplica func(shard, replica int, m proto.Machine) proto.Machine
-
-	// InlineShards runs every shard sub-machine inline on the
-	// transport's delivery goroutine instead of on per-shard workers
-	// (shard.Demux). Deterministic transports need this: worker
-	// goroutines would reintroduce scheduling nondeterminism.
-	InlineShards bool
 
 	// Storage substitutes the filesystem and per-slot fault hooks
 	// underneath the durable storage engine when DataDir is set — the
