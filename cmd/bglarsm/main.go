@@ -58,7 +58,6 @@ func main() {
 	datadir := flag.String("datadir", "", "write-ahead-log root directory (empty = in-memory only; an existing directory restarts from disk)")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: record | group | off (with -datadir)")
 	debugaddr := flag.String("debugaddr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off; use 127.0.0.1:0 for an ephemeral port)")
-	plain := flag.Bool("plaincodec", false, "force plain JSON envelopes on the wire (disables binary codec + delta framing; peers negotiate down automatically)")
 	linger := flag.Duration("linger", 0, "keep the cluster (and debug server) alive this long after the workload completes")
 	flag.Parse()
 
@@ -67,9 +66,9 @@ func main() {
 	case *shards < 1:
 		err = fmt.Errorf("%d shards", *shards)
 	case *shards > 1:
-		err = runSharded(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *plain, *linger)
+		err = runSharded(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
 	default:
-		err = run(*n, *f, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *plain, *linger)
+		err = run(*n, *f, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bglarsm: %v\n", err)
@@ -155,7 +154,7 @@ func openNodeLog(datadir, fsync string, shardIdx, replica int, clientID ident.Pr
 	return p, recovered, maxSeq, nil
 }
 
-func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, plain bool, linger time.Duration) error {
+func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
 	// One registry backs every instrument in the process: pipeline
 	// counters, decision-latency histogram, per-peer wire-codec stats.
 	reg := obs.NewRegistry()
@@ -221,7 +220,7 @@ func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr str
 		}
 		node, err := tcpnet.NewNode(tcpnet.Config{
 			Self: self, Listener: listeners[i], Peers: peersOf(self),
-			Keychain: kc, Machine: m, Registry: reg, PlainCodec: plain,
+			Keychain: kc, Machine: m, Registry: reg,
 		})
 		if err != nil {
 			return err
@@ -245,7 +244,7 @@ func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr str
 	gw := &pipeGateway{self: clientID}
 	clientNode, err := tcpnet.NewNode(tcpnet.Config{
 		Self: clientID, Listener: listeners[n], Peers: peersOf(clientID),
-		Keychain: kc, Machine: gw, Registry: reg, PlainCodec: plain,
+		Keychain: kc, Machine: gw, Registry: reg,
 	})
 	if err != nil {
 		return err
@@ -343,7 +342,7 @@ func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr str
 // runSharded deploys S lattice instances per replica node behind
 // shard.Demux machines, all on one TCP mesh, and drives a spread
 // counter workload through S client pipelines.
-func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, plain bool, linger time.Duration) error {
+func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
 	reg := obs.NewRegistry()
 	clientID := ident.ProcessID(n)
 	kc := sig.NewEd25519(n+1, time.Now().UnixNano())
@@ -416,7 +415,7 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 		}
 		node, err := tcpnet.NewNode(tcpnet.Config{
 			Self: self, Listener: listeners[i], Peers: peersOf(self),
-			Keychain: kc, Machine: d, Registry: reg, PlainCodec: plain,
+			Keychain: kc, Machine: d, Registry: reg,
 		})
 		if err != nil {
 			return err
@@ -443,7 +442,7 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 	gw := shard.NewGateway(clientID, shards)
 	clientNode, err := tcpnet.NewNode(tcpnet.Config{
 		Self: clientID, Listener: listeners[n], Peers: peersOf(clientID),
-		Keychain: kc, Machine: gw, Registry: reg, PlainCodec: plain,
+		Keychain: kc, Machine: gw, Registry: reg,
 	})
 	if err != nil {
 		return err

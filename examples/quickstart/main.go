@@ -12,12 +12,10 @@
 // letting restarted replicas catch up by state transfer — see
 // DESIGN.md §6.
 //
-// On the wire (cmd/bglarsm, internal/tcpnet), peers negotiate the
-// zero-allocation binary frame codec at connection time and fall back
-// to plain JSON envelopes per connection when either side predates it
-// or forces interop mode (tcpnet.Config.PlainCodec, bglarsm
-// -plaincodec) — see DESIGN.md §10 for the frame layout and the
-// negotiation rules.
+// On the wire (cmd/bglarsm, internal/tcpnet), peers speak the
+// zero-allocation binary frame codec, with delta framing for
+// history-sized sets; WAL records use the same codec — see DESIGN.md
+// §10 for the frame layout.
 package main
 
 import (

@@ -34,7 +34,7 @@ func (t *Trace) record(step, vt uint64, from, to ident.ProcessID, m msg.Msg) {
 // readability) and a short deterministic content fingerprint.
 // PayloadKey keeps the fingerprint O(1) in history (set digests, not
 // serializations); shard envelopes hash their inner payload so the
-// envelope does not force the JSON fallback.
+// envelope does not force the full-frame fallback.
 func describe(m msg.Msg) (string, string) {
 	kind := string(m.Kind())
 	if sm, ok := m.(msg.ShardMsg); ok && sm.Inner != nil {

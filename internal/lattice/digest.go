@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 )
 
 // Digest is the 32-byte content address of a Set. It is an incremental
@@ -50,44 +48,11 @@ func (d *Digest) sub(h [32]byte) {
 // Hex renders the digest as 64 lowercase hex characters.
 func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
 
-// MarshalJSON encodes the digest as its hex string (compact and
-// readable on the wire; [32]byte would otherwise marshal as a 32-entry
-// number array).
-func (d Digest) MarshalJSON() ([]byte, error) { return json.Marshal(d.Hex()) }
-
-// UnmarshalJSON decodes the MarshalJSON representation.
-func (d *Digest) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	parsed, err := ParseDigest(s)
-	if err != nil {
-		return err
-	}
-	*d = parsed
-	return nil
-}
-
 // Short renders the first 8 hex characters (log/event labels).
 func (d Digest) Short() string { return hex.EncodeToString(d[:4]) }
 
 // String implements fmt.Stringer.
 func (d Digest) String() string { return d.Hex() }
-
-// ParseDigest decodes the Hex form.
-func ParseDigest(s string) (Digest, error) {
-	var d Digest
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Digest{}, fmt.Errorf("lattice: bad digest %q: %w", s, err)
-	}
-	if len(raw) != len(d) {
-		return Digest{}, fmt.Errorf("lattice: digest %q has %d bytes, want %d", s, len(raw), len(d))
-	}
-	copy(d[:], raw)
-	return d, nil
-}
 
 // itemHashTag domain-separates item hashes.
 const itemHashTag = "bgla/item/v1|"

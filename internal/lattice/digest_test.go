@@ -103,35 +103,10 @@ func TestQuickEqualMatchesItemwise(t *testing.T) {
 	}
 }
 
-func TestParseDigestRoundTrip(t *testing.T) {
+func TestDigestHexForms(t *testing.T) {
 	d := FromItems(it(3, "xyz")).Digest()
-	got, err := ParseDigest(d.Hex())
-	if err != nil || got != d {
-		t.Fatalf("ParseDigest(%s) = %v, %v", d.Hex(), got, err)
-	}
-	if _, err := ParseDigest("zz"); err == nil {
-		t.Fatal("ParseDigest must reject non-hex")
-	}
-	if _, err := ParseDigest("abcd"); err == nil {
-		t.Fatal("ParseDigest must reject short input")
-	}
-	if len(d.Hex()) != 64 || len(d.Short()) != 8 {
-		t.Fatalf("Hex/Short lengths wrong: %d/%d", len(d.Hex()), len(d.Short()))
-	}
-}
-
-func TestJSONPreservesDigest(t *testing.T) {
-	s := FromItems(it(0, "a"), it(7, "b;#:"), it(3, ""))
-	raw, err := s.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Set
-	if err := back.UnmarshalJSON(raw); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(s) || back.Digest() != s.Digest() {
-		t.Fatalf("JSON round trip changed identity: %v vs %v", back, s)
+	if len(d.Hex()) != 64 || len(d.Short()) != 8 || d.String() != d.Hex() {
+		t.Fatalf("Hex/Short/String forms wrong: %q %q %q", d.Hex(), d.Short(), d.String())
 	}
 }
 

@@ -1,10 +1,10 @@
 package msg
 
-// Binary wire codec (DESIGN.md §10). Frames are self-describing: the
-// first byte is BinMagic (JSON envelopes start with '{', 0x7B, so a
-// one-byte sniff discriminates the codecs per frame), the second the
-// kind code, and the body a fixed field walk per kind — zigzag varints
-// for signed integers, uvarint length prefixes for strings and byte
+// Binary codec (DESIGN.md §10): the one encoding for messages on the
+// wire and for the sets and certificates inside WAL records. Frames are
+// self-describing: the first byte is BinMagic, the second the kind
+// code, and the body a fixed field walk per kind — zigzag varints for
+// signed integers, uvarint length prefixes for strings and byte
 // slices, raw 32-byte lattice digests, and recursion for the RBC/shard
 // wrapper payloads. Encoding appends into a caller-supplied buffer
 // (AppendBinary) so transports can reuse pooled scratch space; decoding
@@ -250,8 +250,24 @@ func (w *setAppender) add(it lattice.Item) bool {
 	return true
 }
 
-// appendSet encodes the logical (flattened) item sequence, mirroring the
-// canonical JSON form: anchors are process-local representation.
+// AppendSet appends s in the codec's set layout — the one set encoding,
+// shared with WAL records.
+func AppendSet(dst []byte, s lattice.Set) []byte { return appendSet(dst, s) }
+
+// ReadSet decodes one set in AppendSet's layout from the front of data
+// and returns it with the bytes that follow. Hostile orderings and
+// duplicates are re-normalized, as on the wire.
+func ReadSet(data []byte) (lattice.Set, []byte, error) {
+	r := &binReader{b: data}
+	s := r.set("set")
+	if r.err != nil {
+		return lattice.Set{}, nil, r.err
+	}
+	return s, data[r.off:], nil
+}
+
+// appendSet encodes the logical (flattened) item sequence in canonical
+// order: anchors are process-local representation.
 func appendSet(dst []byte, s lattice.Set) []byte {
 	w := setAppender{buf: binary.AppendUvarint(dst, uint64(s.Len()))}
 	s.Each(w.add)
@@ -346,15 +362,6 @@ func DecodeBinary(data []byte) (Msg, error) {
 		return nil, fmt.Errorf("msg: binary: %d trailing bytes", len(data)-r.off)
 	}
 	return m, nil
-}
-
-// DecodeAny sniffs the codec from the first byte: binary frames begin
-// with BinMagic, JSON envelopes with '{'.
-func DecodeAny(data []byte) (Msg, error) {
-	if IsBinaryFrame(data) {
-		return DecodeBinary(data)
-	}
-	return Decode(data)
 }
 
 // binReader is a bounds-checked sequential reader; the first failure
@@ -504,8 +511,8 @@ func (r *binReader) items(what string) []lattice.Item {
 		a := r.pid(what)
 		l := r.uvarint(what)
 		if r.err != nil || l > uint64(r.rem()) || !utf8.Valid(r.b[r.off:r.off+int(l)]) {
-			// Item bodies must be valid UTF-8: the JSON codec cannot
-			// represent anything else, so such frames are not legal wire.
+			// Item bodies must be valid UTF-8 (commands are text), so
+			// such frames are not legal wire.
 			r.fail(what)
 			return nil
 		}

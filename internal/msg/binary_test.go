@@ -2,8 +2,8 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"bgla/internal/lattice"
@@ -66,50 +66,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
 		}
-		if !reflect.DeepEqual(normalize(m), normalize(back)) {
+		if normalize(m) != normalize(back) {
 			t.Fatalf("%T: round trip mismatch:\n  in:  %#v\n  out: %#v", m, m, back)
 		}
 	}
 }
 
-// normalize maps a message through the JSON codec's canonicalization
-// (nil-vs-empty slices, re-normalized sets) so structural comparisons
-// see wire equivalence, not representation details.
-func normalize(m Msg) Msg {
-	raw, err := Encode(m)
-	if err != nil {
-		return m
-	}
-	back, err := Decode(raw)
-	if err != nil {
-		return m
-	}
-	return back
-}
-
-func TestBinaryMatchesJSONSemantics(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		jr, err := Encode(m)
-		if err != nil {
-			t.Fatalf("%T: json encode: %v", m, err)
-		}
-		jm, err := Decode(jr)
-		if err != nil {
-			t.Fatalf("%T: json decode: %v", m, err)
-		}
-		br, err := EncodeBinary(m)
-		if err != nil {
-			t.Fatalf("%T: binary encode: %v", m, err)
-		}
-		bm, err := DecodeBinary(br)
-		if err != nil {
-			t.Fatalf("%T: binary decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(jm, bm) {
-			t.Fatalf("%T: codecs disagree:\n  json:   %#v\n  binary: %#v", m, jm, bm)
-		}
-	}
-}
+// normalize renders a message with its type and every field, sets by
+// their items and nil and empty slices alike, so comparisons see wire
+// equivalence, not representation details (digest memos, anchors).
+func normalize(m Msg) string { return fmt.Sprintf("%T%+v", m, m) }
 
 func TestBinaryRejectsHostileInputs(t *testing.T) {
 	valid, err := EncodeBinary(AckB{Accepted: lattice.FromStrings(1, "x", "y"), Dest: 1, TS: 2, Round: 3})
@@ -134,23 +100,6 @@ func TestBinaryRejectsHostileInputs(t *testing.T) {
 		if m, err := DecodeBinary(c); err == nil {
 			t.Fatalf("case %d: decoded hostile input into %#v", i, m)
 		}
-	}
-}
-
-func TestDecodeAnySniffsCodec(t *testing.T) {
-	m := Ack{Accepted: lattice.FromStrings(2, "v"), TS: 1, Round: 0}
-	jr, _ := Encode(m)
-	br, _ := EncodeBinary(m)
-	jm, err := DecodeAny(jr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := DecodeAny(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jm, bm) {
-		t.Fatalf("DecodeAny disagreement: %#v vs %#v", jm, bm)
 	}
 }
 
@@ -281,32 +230,48 @@ func TestDecodeDoesNotAliasFrame(t *testing.T) {
 		AckReq{Proposed: grown, TS: 2, Round: 1},                                            // delta frame against it
 		RBCEcho{Src: 1, Tag: "t", Payload: AckB{Accepted: grown, Dest: 2, TS: 3, Round: 1}}, // exact re-send
 	)
-	for _, bin := range []bool{true, false} {
-		enc, dec, pristine := NewDeltaEncoder(), NewDeltaDecoder(), NewDeltaDecoder()
-		var buf []byte
-		for _, m := range msgs {
-			frame, err := enc.AppendEncode(nil, m, bin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, nack, err := pristine.Decode(frame)
-			if err != nil || nack != nil {
-				t.Fatalf("%s: %v %v", m.Kind(), err, nack)
-			}
-			buf = append(buf[:0], frame...)
-			got, nack, err := dec.Decode(buf)
-			if err != nil || nack != nil {
-				t.Fatalf("%s: %v %v", m.Kind(), err, nack)
-			}
-			for i := range buf {
-				buf[i] = 0xAA
-			}
-			if !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Fatalf("bin=%v %s: decoded message changed when its frame buffer was overwritten:\n got %#v\nwant %#v", bin, m.Kind(), got, want)
-			}
-			if s, ok := PrimarySet(got); ok && lattice.FromItems(s.Items()...).Digest() != s.Digest() {
-				t.Fatalf("bin=%v %s: set items no longer match the set digest", bin, m.Kind())
-			}
+	enc, dec, pristine := NewDeltaEncoder(), NewDeltaDecoder(), NewDeltaDecoder()
+	var buf []byte
+	for _, m := range msgs {
+		frame, err := enc.AppendEncode(nil, m, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, nack, err := pristine.Decode(frame)
+		if err != nil || nack != nil {
+			t.Fatalf("%s: %v %v", m.Kind(), err, nack)
+		}
+		buf = append(buf[:0], frame...)
+		got, nack, err := dec.Decode(buf)
+		if err != nil || nack != nil {
+			t.Fatalf("%s: %v %v", m.Kind(), err, nack)
+		}
+		for i := range buf {
+			buf[i] = 0xAA
+		}
+		if normalize(got) != normalize(want) {
+			t.Fatalf("%s: decoded message changed when its frame buffer was overwritten:\n got %s\nwant %s", m.Kind(), normalize(got), normalize(want))
+		}
+		if s, ok := PrimarySet(got); ok && lattice.FromItems(s.Items()...).Digest() != s.Digest() {
+			t.Fatalf("%s: set items no longer match the set digest", m.Kind())
+		}
+	}
+}
+
+// TestSetDecodeNormalizesHostileInput: duplicated and unsorted items
+// on the wire come back as a normalized set.
+func TestSetDecodeNormalizesHostileInput(t *testing.T) {
+	raw := []byte{BinMagic, binDisclosure, 0, 3}
+	for _, it := range []lattice.Item{{Author: 1, Body: "z"}, {Author: 0, Body: "a"}, {Author: 1, Body: "z"}} {
+		raw = binary.AppendVarint(raw, int64(it.Author))
+		raw = appendString(raw, it.Body)
+	}
+	m, err := DecodeBinary(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := m.(Disclosure).Value.Items()
+	if len(items) != 2 || items[0].Author != 0 || items[1].Author != 1 {
+		t.Fatalf("hostile set not normalized: %v", items)
 	}
 }

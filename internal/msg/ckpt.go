@@ -29,11 +29,11 @@ const (
 // certificate is therefore a transferable proof of exactly the
 // condition the Algorithm 7 read confirmation checks.
 type CkptProp struct {
-	Epoch int             `json:"epoch"`
-	Round int             `json:"round"`
-	Len   int             `json:"len"`
-	Dig   lattice.Digest  `json:"dig"`
-	From  ident.ProcessID `json:"from"`
+	Epoch int
+	Round int
+	Len   int
+	Dig   lattice.Digest
+	From  ident.ProcessID
 }
 
 // Kind implements Msg.
@@ -43,13 +43,13 @@ func (CkptProp) Kind() Kind { return KindCkptProp }
 // (compact.Preimage: domain tag, epoch, round, len, digest, folded
 // image hash).
 type CkptSig struct {
-	Epoch  int             `json:"epoch"`
-	Round  int             `json:"round"`
-	Len    int             `json:"len"`
-	Dig    lattice.Digest  `json:"dig"`
-	Image  []byte          `json:"image"`
-	Signer ident.ProcessID `json:"signer"`
-	Sig    []byte          `json:"sig"`
+	Epoch  int
+	Round  int
+	Len    int
+	Dig    lattice.Digest
+	Image  []byte
+	Signer ident.ProcessID
+	Sig    []byte
 }
 
 // Kind implements Msg.
@@ -60,12 +60,12 @@ func (CkptSig) Kind() Kind { return KindCkptSig }
 // adopt the prefix as decided (it is quorum-committed by ≥ f+1 correct
 // signers' Ack_histories) and rewrite its state as base + window.
 type CkptCert struct {
-	Epoch int            `json:"epoch"`
-	Round int            `json:"round"`
-	Len   int            `json:"len"`
-	Dig   lattice.Digest `json:"dig"`
-	Image []byte         `json:"image"`
-	Sigs  []CkptSig      `json:"sigs"`
+	Epoch int
+	Round int
+	Len   int
+	Dig   lattice.Digest
+	Image []byte
+	Sigs  []CkptSig
 }
 
 // Kind implements Msg.
@@ -74,7 +74,7 @@ func (CkptCert) Kind() Kind { return KindCkptCert }
 // StateReq asks a peer for the prefix value behind a certificate the
 // requester cannot resolve locally (restart, long lag).
 type StateReq struct {
-	Dig lattice.Digest `json:"dig"`
+	Dig lattice.Digest
 }
 
 // Kind implements Msg.
@@ -85,8 +85,8 @@ func (StateReq) Kind() Kind { return KindStateReq }
 // digest against Cert.Dig and the folded image hash before installing,
 // so a forged or tampered transfer can never smuggle undecided items.
 type StateRep struct {
-	Cert  CkptCert    `json:"cert"`
-	Value lattice.Set `json:"value"`
+	Cert  CkptCert
+	Value lattice.Set
 }
 
 // Kind implements Msg.

@@ -18,11 +18,11 @@ func TestCkptWireRoundTrip(t *testing.T) {
 		StateReq{Dig: dig},
 		StateRep{Cert: cert, Value: set},
 	} {
-		data, err := Encode(m)
+		data, err := EncodeBinary(m)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Kind(), err)
 		}
-		back, err := Decode(data)
+		back, err := DecodeBinary(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Kind(), err)
 		}
@@ -74,7 +74,7 @@ func TestStateRepDeltaPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Encode(Decide{Value: ext, Round: 2})
+	full, err := EncodeBinary(Decide{Value: ext, Round: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -21,13 +20,12 @@ import (
 // and DeltaDecoder reconstructs the original typed message on the far
 // side. When the receiver cannot resolve a base digest (restart,
 // eviction, divergence) it answers with a DeltaNack and the sender
-// automatically retransmits that frame with the full set — the plain
-// JSON Envelope remains the fallback encoding throughout, and peers
-// that never emit delta frames interoperate unchanged.
+// automatically retransmits that frame with the full set. Messages
+// without a lattice set travel as plain binary frames.
 
 // Delta codec wire kinds.
 const (
-	// KindDeltaFrame wraps an inner envelope whose primary lattice set
+	// KindDeltaFrame wraps an inner frame whose primary lattice set
 	// travels delta- or full-encoded alongside it.
 	KindDeltaFrame Kind = "delta.frame"
 	// KindDeltaNack is the transport-level "unknown base" reply that
@@ -39,27 +37,11 @@ const (
 // the receiver could not reconstruct it (base digest unknown or the
 // reconstruction's digest diverged from the declared one).
 type DeltaNack struct {
-	Seq uint64 `json:"seq"`
+	Seq uint64
 }
 
 // Kind implements Msg.
 func (DeltaNack) Kind() Kind { return KindDeltaNack }
-
-// deltaFrameWire is the JSON body of a KindDeltaFrame envelope.
-type deltaFrameWire struct {
-	// Seq identifies the frame for DeltaNack retransmission.
-	Seq uint64 `json:"seq"`
-	// Inner is the message with its primary set stripped to ⊥.
-	Inner Envelope `json:"inner"`
-	// Base is the hex digest of the assumed base set; empty means Items
-	// carries the full set.
-	Base string `json:"base,omitempty"`
-	// Items carries the delta (or full) items in canonical order.
-	Items lattice.Set `json:"items"`
-	// Dig is the hex digest of the complete reconstructed set, checked
-	// after ApplyDelta and used as the receiver-side cache key.
-	Dig string `json:"dig"`
-}
 
 // PrimarySet extracts the dominant lattice set of a message — the one
 // that grows with history and is worth delta-encoding. RBC wrappers
@@ -209,27 +191,21 @@ func (e *DeltaEncoder) Reset() {
 }
 
 // Encode serializes m for the peer, delta-encoding its primary set when
-// a cached base allows it. Messages without a primary set use the plain
-// JSON envelope.
+// a cached base allows it. Messages without a primary set travel as
+// plain binary frames.
 func (e *DeltaEncoder) Encode(m Msg) ([]byte, error) {
-	return e.AppendEncode(nil, m, false)
+	return e.AppendEncode(nil, m, true)
 }
 
-// AppendEncode appends m's frame to dst, delta-encoding its primary set
-// when a cached base allows it, using the binary codec when bin is set
-// and the JSON envelope codec otherwise. Messages without a primary set
-// travel as plain (binary or JSON) frames.
+// AppendEncode appends m's frame to dst as Encode does. bin must be
+// true: the binary codec is the only encoding.
 func (e *DeltaEncoder) AppendEncode(dst []byte, m Msg, bin bool) ([]byte, error) {
+	if !bin {
+		return nil, errors.New("msg: the binary codec is the only wire encoding")
+	}
 	set, ok := PrimarySet(m)
 	if !ok {
-		if bin {
-			return AppendBinary(dst, m)
-		}
-		raw, err := Encode(m)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, raw...), nil
+		return AppendBinary(dst, m)
 	}
 	if b := set.Anchor(); b.Len() > e.anchor.Load().Len() {
 		e.anchor.Store(b)
@@ -255,49 +231,24 @@ func (e *DeltaEncoder) AppendEncode(dst []byte, m Msg, bin bool) ([]byte, error)
 		// unlike ring anchors the pin survives unrelated transmissions.
 		e.pinned = set
 	}
-	if bin {
-		dst = append(dst, BinMagic, binDeltaFrame)
-		dst = appendUvarint(dst, seq)
-		var err error
-		dst, err = appendBinary(dst, m, true)
-		if err != nil {
-			return nil, err
-		}
-		if haveBase {
-			bd := base.Digest()
-			dst = append(dst, 1)
-			dst = append(dst, bd[:]...)
-			dst = appendItems(dst, delta)
-		} else {
-			dst = append(dst, 0)
-			dst = appendSet(dst, set)
-		}
-		sd := set.Digest()
-		return append(dst, sd[:]...), nil
-	}
-	inner, err := ToEnvelope(WithPrimarySet(m, lattice.Empty()))
+	dst = append(dst, BinMagic, binDeltaFrame)
+	dst = appendUvarint(dst, seq)
+	var err error
+	dst, err = appendBinary(dst, m, true)
 	if err != nil {
 		return nil, err
-	}
-	w := deltaFrameWire{
-		Seq:   seq,
-		Inner: inner,
-		Items: set,
-		Dig:   set.Digest().Hex(),
 	}
 	if haveBase {
-		w.Base = base.Digest().Hex()
-		w.Items = lattice.FromItems(delta...)
+		bd := base.Digest()
+		dst = append(dst, 1)
+		dst = append(dst, bd[:]...)
+		dst = appendItems(dst, delta)
+	} else {
+		dst = append(dst, 0)
+		dst = appendSet(dst, set)
 	}
-	body, err := json.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("msg: delta frame of %s: %w", m.Kind(), err)
-	}
-	raw, err := json.Marshal(Envelope{K: KindDeltaFrame, B: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, raw...), nil
+	sd := set.Digest()
+	return append(dst, sd[:]...), nil
 }
 
 // Frames reports how many primary-set frames were delta-encoded vs
@@ -409,66 +360,14 @@ func (d *DeltaDecoder) Reset() {
 	d.mu.Unlock()
 }
 
-// Decode parses wire bytes from the peer. Plain envelopes decode as
-// before (the fallback path). For delta frames it reconstructs the
-// primary set from the cached base; when the base is unknown or the
-// reconstruction's digest diverges it returns (nil, nack, nil) and the
-// caller must transmit the nack back to the sender, which replies with
-// a full-set retransmission of the same frame.
+// Decode parses a binary frame from the peer. Plain frames decode
+// directly. For delta frames it reconstructs the primary set from the
+// cached base; when the base is unknown or the reconstruction's digest
+// diverges it returns (nil, nack, nil) and the caller must transmit the
+// nack back to the sender, which replies with a full-set
+// retransmission of the same frame.
 func (d *DeltaDecoder) Decode(data []byte) (Msg, *DeltaNack, error) {
-	if IsBinaryFrame(data) {
-		return d.decodeBinary(data)
-	}
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, nil, fmt.Errorf("msg: envelope: %w", err)
-	}
-	if env.K != KindDeltaFrame {
-		m, err := FromEnvelope(env)
-		return m, nil, err
-	}
-	var w deltaFrameWire
-	if err := json.Unmarshal(env.B, &w); err != nil {
-		return nil, nil, fmt.Errorf("msg: delta frame: %w", err)
-	}
-	inner, err := FromEnvelope(w.Inner)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := PrimarySet(inner); !ok {
-		return nil, nil, fmt.Errorf("msg: delta frame around %s, which carries no set", inner.Kind())
-	}
-	set := w.Items
-	if w.Base != "" {
-		baseDig, err := lattice.ParseDigest(w.Base)
-		if err != nil {
-			return nil, nil, err
-		}
-		want, err := lattice.ParseDigest(w.Dig)
-		if err != nil {
-			return nil, nil, err
-		}
-		d.mu.Lock()
-		base, ok := d.cache[baseDig]
-		d.mu.Unlock()
-		if !ok {
-			return nil, &DeltaNack{Seq: w.Seq}, nil
-		}
-		set = lattice.ApplyDelta(base, w.Items.Items())
-		if set.Digest() != want {
-			// Divergent reconstruction: ask for the full set rather than
-			// deliver a value the sender did not mean.
-			return nil, &DeltaNack{Seq: w.Seq}, nil
-		}
-	}
-	return WithPrimarySet(inner, d.remember(set)), nil, nil
-}
-
-// decodeBinary handles binary frames: plain ones decode directly, delta
-// frames reconstruct the primary set from the cached base with the same
-// nack-on-unknown-base protocol as the JSON path.
-func (d *DeltaDecoder) decodeBinary(data []byte) (Msg, *DeltaNack, error) {
-	if len(data) < 2 || data[1] != binDeltaFrame {
+	if len(data) < 2 || data[0] != BinMagic || data[1] != binDeltaFrame {
 		m, err := DecodeBinary(data)
 		return m, nil, err
 	}

@@ -1,7 +1,7 @@
 package msg
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -63,12 +63,11 @@ func TestDeltaCodecPlainMessagesUntouched(t *testing.T) {
 	enc, dec := NewDeltaEncoder(), NewDeltaDecoder()
 	m := NewValue{Cmd: lattice.Item{Author: 2, Body: "x"}}
 	frame := encodeOne(t, enc, m)
-	var env Envelope
-	if err := json.Unmarshal(frame, &env); err != nil {
-		t.Fatal(err)
+	if plain, err := EncodeBinary(m); err != nil || !bytes.Equal(frame, plain) {
+		t.Fatalf("set-free message framed as %x, want its plain frame %x (%v)", frame, plain, err)
 	}
-	if env.K != KindNewValue {
-		t.Fatalf("set-free message framed as %q, want plain envelope", env.K)
+	if _, err := enc.AppendEncode(nil, m, false); err == nil {
+		t.Fatal("AppendEncode accepted a request for a non-binary encoding")
 	}
 	if got := decodeOne(t, dec, frame); KeyOf(got) != KeyOf(m) {
 		t.Fatalf("plain round trip: %v != %v", got, m)
@@ -160,71 +159,54 @@ func TestDeltaInterleavedStreams(t *testing.T) {
 }
 
 // FuzzWireRoundTrip fuzzes the full decode surface: arbitrary bytes
-// must never panic, and anything that decodes must re-encode and decode
-// to an identical message — including delta frames and the unknown-base
-// fallback path.
+// must never panic, and anything that decodes — plain or delta frame —
+// must re-encode to a frame that decodes to the same message and
+// re-encodes byte-identically (one trip reaches the canonical frame).
 func FuzzWireRoundTrip(f *testing.F) {
-	it := lattice.Item{Author: 1, Body: "cmd"}
-	s := lattice.FromItems(it, lattice.Item{Author: 2, Body: "other"})
-	seeds := []Msg{
-		Disclosure{Round: 1, Value: s},
-		AckReq{Proposed: s, TS: 3, Round: 1},
-		Ack{Accepted: s, TS: 3, Round: 1},
-		Nack{Accepted: s, TS: 3, Round: 1},
-		AckB{Accepted: s, Dest: 2, TS: 3, Round: 1},
-		RBCSend{Src: 0, Tag: "t", Payload: Disclosure{Value: s}},
-		RBCEcho{Src: 1, Tag: "t", Payload: AckB{Accepted: s, Dest: 1}},
-		RBCReady{Src: 2, Tag: "t", Payload: AckB{Accepted: s, Dest: 1}},
-		NewValue{Cmd: it},
-		Decide{Value: s, Round: 2},
-		CnfReq{Value: s},
-		CnfRep{Value: s},
-		InitVal{SV: SignedValue{Author: 1, Round: 0, Value: s, Sig: []byte{1}}},
-		SignedAck{Accepted: s, Dest: 1, TS: 2, Round: 3, Signer: 4, Sig: []byte{2}},
-		DecidedCert{Round: 1, Value: s},
-		DeltaNack{Seq: 7},
-		Wakeup{Tag: "w"},
-		Junk{Blob: "junk"},
-		ShardMsg{Shard: 2, Inner: Ack{Accepted: s, TS: 3, Round: 1}},
-		ShardMsg{Shard: 0, Inner: RBCEcho{Src: 1, Tag: "t", Payload: AckB{Accepted: s, Dest: 1}}},
-		ShardMsg{Shard: -1, Inner: NewValue{Cmd: it}},
-	}
-	for _, m := range seeds {
-		data, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	// Delta-frame seeds: a full frame and a delta frame against it.
-	enc := NewDeltaEncoder()
-	for i := 0; i < 2; i++ {
-		grown := s.Union(lattice.FromItems(lattice.Item{Author: 5, Body: fmt.Sprintf("g%d", i)}))
-		s = grown
-		frame, err := enc.Encode(Ack{Accepted: grown, TS: uint32(i)})
+	for _, m := range sampleMsgs() {
+		frame, err := EncodeBinary(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
 	}
-	f.Add([]byte(`{"k":"delta.frame","b":{"seq":1,"inner":{"k":"ack","b":{}},"base":"ff","items":[],"dig":""}}`))
+	// Delta-frame seeds: a full frame and a delta frame against it.
+	for _, frame := range goldenDeltaFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDeltaDecoder()
-		m, nack, err := dec.Decode(data)
+		m, nack, err := NewDeltaDecoder().Decode(data)
 		if err != nil || nack != nil {
 			return // rejected input: fine, as long as nothing panicked
 		}
-		re, err := Encode(m)
+		// A fresh encoder frames a set-carrying message as a full delta
+		// frame and anything else as a plain frame; both must be stable.
+		encode := func(m Msg) []byte {
+			frame, err := NewDeltaEncoder().Encode(m)
+			if err != nil {
+				t.Fatalf("re-encode of decoded %T: %v", m, err)
+			}
+			return frame
+		}
+		re := encode(m)
+		m2, nack, err := NewDeltaDecoder().Decode(re)
+		if err != nil || nack != nil {
+			t.Fatalf("re-decode: m=%v nack=%v err=%v", m2, nack, err)
+		}
+		if re2 := encode(m2); !bytes.Equal(re, re2) {
+			t.Fatalf("re-encode not byte-identical for %T:\n %x\n %x", m, re, re2)
+		}
+		plain, err := EncodeBinary(m)
 		if err != nil {
-			t.Fatalf("re-encode of decoded %T: %v", m, err)
+			t.Fatalf("plain encode of decoded %T: %v", m, err)
 		}
-		m2, nack2, err := NewDeltaDecoder().Decode(re)
-		if err != nil || nack2 != nil {
-			t.Fatalf("re-decode: m=%v nack=%v err=%v", m2, nack2, err)
+		m3, err := DecodeBinary(plain)
+		if err != nil {
+			t.Fatalf("plain re-decode of %T: %v", m, err)
 		}
-		if KeyOf(m) != KeyOf(m2) {
-			t.Fatalf("round trip diverged:\n %v\n %v", m, m2)
+		if again, err := EncodeBinary(m3); err != nil || !bytes.Equal(plain, again) {
+			t.Fatalf("plain frame not byte-identical for %T:\n %x\n %x (%v)", m, plain, again, err)
 		}
 	})
 }

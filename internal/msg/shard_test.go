@@ -15,13 +15,13 @@ func TestShardMsgRoundTrip(t *testing.T) {
 		ShardMsg{Shard: 2, Inner: RBCEcho{Src: 1, Tag: "t", Payload: AckB{Accepted: set, Dest: 4, TS: 1, Round: 0}}},
 	}
 	for _, m := range cases {
-		data, err := Encode(m)
+		data, err := EncodeBinary(m)
 		if err != nil {
-			t.Fatalf("Encode(%v): %v", m, err)
+			t.Fatalf("EncodeBinary(%v): %v", m, err)
 		}
-		got, err := Decode(data)
+		got, err := DecodeBinary(data)
 		if err != nil {
-			t.Fatalf("Decode(%v): %v", m, err)
+			t.Fatalf("DecodeBinary(%v): %v", m, err)
 		}
 		if !reflect.DeepEqual(canon(got), canon(m)) {
 			t.Fatalf("round trip: got %#v, want %#v", got, m)

@@ -1,9 +1,10 @@
 // Package msg defines the complete message vocabulary of the paper's
 // protocols (WTS Algs 1-2, GWTS Algs 3-4, RSM Algs 5-7, SbS Algs 8-10
 // and the generalized signature variant of §8.2), the Bracha reliable
-// broadcast wrapper messages, and a JSON envelope codec used by the TCP
-// transport. In-memory transports pass the typed values directly;
-// messages are treated as immutable once sent.
+// broadcast wrapper messages, and the binary codec (binary.go, delta.go)
+// for every byte that leaves the process: TCP frames and WAL records.
+// In-memory transports pass the typed values directly; messages are
+// treated as immutable once sent.
 package msg
 
 import (
@@ -239,6 +240,10 @@ type SafeAck struct {
 	Signer    ident.ProcessID
 	Sig       []byte
 }
+
+// Kind implements Msg, so a SafeAck can travel standalone in tests;
+// within the protocol it is embedded in ProofValue/NackS.
+func (SafeAck) Kind() Kind { return KindSafeAck }
 
 // ProofValue is a value bundled with its proof of safety: the quorum of
 // signed safe_acks in which it never appears as a conflict (<v,

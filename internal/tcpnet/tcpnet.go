@@ -4,21 +4,15 @@
 // authenticated-link assumption — a connection only delivers messages
 // attributed to an identity that proved itself at hello time.
 //
-// Frames carrying history-sized lattice sets use the delta codec of
-// internal/msg (per-peer digest-addressed base caches, DeltaNack-driven
-// full-set fallback). The frame payload codec is negotiated per
-// connection at hello time: both sides binary-capable → the
-// length-prefixed binary codec (DESIGN.md §10); otherwise plain JSON
-// envelopes, which remain the interop fallback (PlainCodec pins a node
-// to JSON on both its outgoing frames and its hello acks). Receivers
-// decode per frame by sniffing the first byte, so mixed-codec meshes
-// are safe by construction.
+// Frame payloads use the binary codec of internal/msg (DESIGN.md §10);
+// frames carrying history-sized lattice sets use its delta framing
+// (per-peer digest-addressed base caches, DeltaNack-driven full-set
+// fallback).
 package tcpnet
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -45,24 +39,31 @@ const maxWriteBytes = 64 << 10
 // helloMagic is the domain separator of the handshake signature.
 const helloMagic = "bgla/tcp-hello|%d|%d"
 
-// hello is the first frame on every outgoing connection. Bin advertises
-// that the dialer can emit binary frames; it is not part of the signed
-// preimage (helloMagic predates it), so codec choice cannot be used to
-// forge identity — a stripped or flipped Bin bit at worst downgrades
-// the connection to JSON, which is always safe to speak.
-type hello struct {
-	From ident.ProcessID `json:"from"`
-	To   ident.ProcessID `json:"to"`
-	Sig  []byte          `json:"sig"`
-	Bin  bool            `json:"bin,omitempty"`
+// The hello is the first frame on every outgoing connection:
+// [from u32][to u32][sig], big-endian, where sig signs
+// helloBytes(from, to). A hello whose signature is empty or longer than
+// maxHelloSig is rejected before verification.
+const (
+	helloHeader = 8
+	maxHelloSig = 64 // an Ed25519 signature, the largest any Keychain emits
+)
+
+// appendHello appends the hello frame payload to dst.
+func appendHello(dst []byte, from, to ident.ProcessID, proof []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(from))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(to))
+	return append(dst, proof...)
 }
 
-// helloAck is the receiver's reply to an authenticated hello. Bin set
-// means the receiver accepts binary frames on this connection; the
-// dialer treats a missing, unparsable or negative ack as "JSON only",
-// so nodes predating the ack (or pinned to PlainCodec) interoperate.
-type helloAck struct {
-	Bin bool `json:"bin"`
+// parseHello splits a hello frame payload; ok is false when its length
+// is out of bounds.
+func parseHello(frame []byte) (from, to ident.ProcessID, proof []byte, ok bool) {
+	if len(frame) <= helloHeader || len(frame) > helloHeader+maxHelloSig {
+		return 0, 0, nil, false
+	}
+	from = ident.ProcessID(binary.BigEndian.Uint32(frame[0:4]))
+	to = ident.ProcessID(binary.BigEndian.Uint32(frame[4:8]))
+	return from, to, frame[helloHeader:], true
 }
 
 // Config configures one TCP node.
@@ -81,15 +82,6 @@ type Config struct {
 	DialRetry time.Duration
 	// EventBuffer sizes the event channel (default 4096).
 	EventBuffer int
-	// PlainCodec disables delta framing AND the binary codec on the
-	// send side: every outgoing message travels as a plain JSON
-	// envelope, and the node's hello acks refuse binary, so peers fall
-	// back to JSON toward it too. Receiving stays codec-aware either
-	// way (frames self-describe via their first byte), so a PlainCodec
-	// node still decodes binary and delta frames from faster peers; for
-	// a wire with no such frames at all (pre-binary interop), every
-	// node must set it.
-	PlainCodec bool
 	// Registry, when non-nil, exposes the node's wire-health counters
 	// per peer: delta nacks issued, full-set resends served, and the
 	// encoder's delta-vs-full frame split (the fallback path), plus
@@ -118,11 +110,6 @@ type Node struct {
 	rejectedHellos atomic.Int64
 	deltaNacksSent atomic.Int64
 	deltaResends   atomic.Int64
-
-	// binPeer records, per peer, whether the current outgoing
-	// connection negotiated the binary codec (hello/helloAck).
-	binMu   sync.Mutex
-	binPeer map[ident.ProcessID]bool
 
 	// Per-peer registry counters (satellite views of the atomics above,
 	// labeled {self, peer}).
@@ -235,7 +222,6 @@ func NewNode(cfg Config) (*Node, error) {
 		enc:         make(map[ident.ProcessID]*msg.DeltaEncoder, len(cfg.Peers)),
 		dec:         make(map[ident.ProcessID]*msg.DeltaDecoder),
 		conns:       make(map[net.Conn]struct{}),
-		binPeer:     make(map[ident.ProcessID]bool, len(cfg.Peers)),
 		wireNacks:   make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
 		wireResends: make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
 		wireBytesTx: make(map[ident.ProcessID]*obs.Counter, len(cfg.Peers)),
@@ -295,21 +281,6 @@ func (n *Node) Events() <-chan proto.Event { return n.events }
 
 // RejectedHellos counts failed handshake attempts (diagnostics).
 func (n *Node) RejectedHellos() int64 { return n.rejectedHellos.Load() }
-
-// BinaryNegotiated reports whether the current outgoing connection to
-// peer agreed on the binary codec (false before the first dial, after a
-// drop, or when either side is pinned to PlainCodec).
-func (n *Node) BinaryNegotiated(peer ident.ProcessID) bool {
-	n.binMu.Lock()
-	defer n.binMu.Unlock()
-	return n.binPeer[peer]
-}
-
-func (n *Node) setBinary(peer ident.ProcessID, bin bool) {
-	n.binMu.Lock()
-	n.binPeer[peer] = bin
-	n.binMu.Unlock()
-}
 
 // Start launches the accept loop, the per-peer senders and the machine
 // driver; it returns immediately.
@@ -444,14 +415,11 @@ func (n *Node) sendTo(to ident.ProcessID, m msg.Msg) {
 func (n *Node) sendLoop(peer ident.ProcessID) {
 	defer n.wg.Done()
 	var conn net.Conn
-	bin := false
 	drop := func() {
 		if conn != nil {
 			n.untrack(conn)
 			_ = conn.Close()
 			conn = nil
-			bin = false
-			n.setBinary(peer, false)
 		}
 	}
 	defer drop()
@@ -470,7 +438,7 @@ func (n *Node) sendLoop(peer ident.ProcessID) {
 			sent = 0
 		}
 		if conn == nil {
-			c, b, err := n.dialPeer(peer)
+			c, err := n.dialPeer(peer)
 			if err != nil {
 				if n.stopped.Load() {
 					return
@@ -478,13 +446,12 @@ func (n *Node) sendLoop(peer ident.ProcessID) {
 				time.Sleep(n.cfg.DialRetry)
 				continue
 			}
-			conn, bin = c, b
-			n.setBinary(peer, bin)
+			conn = c
 			enc.Reset()
 		}
 		buf, next := (*scratchp)[:0], sent
 		for next < len(batch) && len(buf) < maxWriteBytes {
-			buf = n.appendFrame(buf, enc, batch[next], bin)
+			buf = appendFrame(buf, enc, batch[next])
 			next++
 		}
 		*scratchp = buf[:0]
@@ -502,18 +469,10 @@ func (n *Node) sendLoop(peer ident.ProcessID) {
 }
 
 // appendFrame appends m's [4-byte length | payload] frame to buf; a
-// message that cannot be marshaled is dropped.
-func (n *Node) appendFrame(buf []byte, enc *msg.DeltaEncoder, m msg.Msg, bin bool) []byte {
+// message that cannot be encoded is dropped.
+func appendFrame(buf []byte, enc *msg.DeltaEncoder, m msg.Msg) []byte {
 	start := len(buf)
-	out := append(buf, 0, 0, 0, 0)
-	var err error
-	if n.cfg.PlainCodec {
-		var frame []byte
-		frame, err = msg.Encode(m)
-		out = append(out, frame...)
-	} else {
-		out, err = enc.AppendEncode(out, m, bin)
-	}
+	out, err := enc.AppendEncode(append(buf, 0, 0, 0, 0), m, true)
 	if err != nil {
 		return buf
 	}
@@ -521,42 +480,22 @@ func (n *Node) appendFrame(buf []byte, enc *msg.DeltaEncoder, m msg.Msg, bin boo
 	return out
 }
 
-// dialPeer connects, proves identity, and negotiates the frame codec:
-// the hello advertises binary capability and the receiver's helloAck
-// confirms it. Any ack problem — timeout, parse failure, refusal —
-// degrades to JSON rather than failing the connection.
-func (n *Node) dialPeer(peer ident.ProcessID) (net.Conn, bool, error) {
+// dialPeer connects and proves identity with the signed hello.
+func (n *Node) dialPeer(peer ident.ProcessID) (net.Conn, error) {
 	addr := n.cfg.Peers[peer]
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if !n.track(conn) {
-		return nil, false, errors.New("tcpnet: node stopped")
+		return nil, errors.New("tcpnet: node stopped")
 	}
-	h := hello{From: n.cfg.Self, To: peer, Bin: !n.cfg.PlainCodec}
-	h.Sig = n.cfg.Keychain.SignerFor(n.cfg.Self).Sign(helloBytes(n.cfg.Self, peer))
-	raw, err := json.Marshal(h)
-	if err != nil {
+	proof := n.cfg.Keychain.SignerFor(n.cfg.Self).Sign(helloBytes(n.cfg.Self, peer))
+	if err := writeFrame(conn, appendHello(nil, n.cfg.Self, peer, proof)); err != nil {
 		_ = conn.Close()
-		return nil, false, err
+		return nil, err
 	}
-	if err := writeFrame(conn, raw); err != nil {
-		_ = conn.Close()
-		return nil, false, err
-	}
-	bin := false
-	if !n.cfg.PlainCodec {
-		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if raw, err := readFrame(conn, nil); err == nil {
-			var ack helloAck
-			if json.Unmarshal(raw, &ack) == nil {
-				bin = ack.Bin
-			}
-		}
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	return conn, bin, nil
+	return conn, nil
 }
 
 func helloBytes(from, to ident.ProcessID) []byte {
@@ -591,24 +530,13 @@ func (n *Node) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	var h hello
-	if err := json.Unmarshal(frame, &h); err != nil {
+	from, to, proof, ok := parseHello(frame)
+	if !ok || to != n.cfg.Self || !n.cfg.Keychain.Verify(from, helloBytes(from, to), proof) {
 		n.rejectedHellos.Add(1)
 		return
 	}
-	if h.To != n.cfg.Self || !n.cfg.Keychain.Verify(h.From, helloBytes(h.From, h.To), h.Sig) {
-		n.rejectedHellos.Add(1)
-		return
-	}
-	// Acknowledge the authenticated hello with our codec capability;
-	// dialers that predate the ack simply never read it.
-	if ack, err := json.Marshal(helloAck{Bin: !n.cfg.PlainCodec}); err == nil {
-		if err := writeFrame(conn, ack); err != nil {
-			return
-		}
-	}
-	bytesRx := n.wireBytesRx[h.From]
-	dec := n.decoderFor(h.From)
+	bytesRx := n.wireBytesRx[from]
+	dec := n.decoderFor(from)
 	for {
 		if frame, err = readFrame(r, frame); err != nil {
 			return
@@ -620,10 +548,10 @@ func (n *Node) readLoop(conn net.Conn) {
 		if nack != nil {
 			// Unknown delta base: ask the sender for the full set.
 			n.deltaNacksSent.Add(1)
-			if c := n.wireNacks[h.From]; c != nil {
+			if c := n.wireNacks[from]; c != nil {
 				c.Inc()
 			}
-			n.sendTo(h.From, *nack)
+			n.sendTo(from, *nack)
 			continue
 		}
 		if err != nil {
@@ -634,18 +562,18 @@ func (n *Node) readLoop(conn net.Conn) {
 			// delivering the nack to the machine; the send loop
 			// re-encodes it against the post-nack (anchor-free) codec
 			// state, re-establishing a shared base chain.
-			if enc, okE := n.enc[h.From]; okE {
+			if enc, okE := n.enc[from]; okE {
 				if retained, served := enc.HandleNack(nk); served {
-					n.sendTo(h.From, retained)
+					n.sendTo(from, retained)
 					n.deltaResends.Add(1)
-					if c := n.wireResends[h.From]; c != nil {
+					if c := n.wireResends[from]; c != nil {
 						c.Inc()
 					}
 				}
 			}
 			continue
 		}
-		n.enqueueInbound(h.From, m)
+		n.enqueueInbound(from, m)
 	}
 }
 

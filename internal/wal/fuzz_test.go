@@ -19,9 +19,9 @@ func FuzzWALDecode(f *testing.F) {
 	cert := msg.CkptCert{Round: 3, Len: v.Len(), Dig: v.Digest()}
 	var seed []byte
 	for _, r := range []record{
-		{T: recDecided, Round: 1, SafeR: 1, Len: 2, Value: &v},
-		{T: recCkpt, Len: 2, Cert: &cert},
-		{T: recSnap, Round: 3, Len: 2, Value: &v, Cert: &cert},
+		{T: recDecided, Round: 1, SafeR: 1, Len: 2, Value: v},
+		{T: recCkpt, Len: 2, Cert: cert},
+		{T: recSnap, Round: 3, Len: 2, Value: v, Cert: cert},
 	} {
 		frame, err := encodeRecord(r)
 		if err != nil {
@@ -51,8 +51,8 @@ func FuzzWALDecode(f *testing.F) {
 				len(again), len(recs), goodAgain, good)
 		}
 		for _, r := range recs {
-			// Every decoded record must re-encode (it reached us through
-			// json.Unmarshal, so its fields are marshalable).
+			// Every decoded record must re-encode (its kind is known and
+			// its length non-negative).
 			if _, err := encodeRecord(r); err != nil {
 				t.Fatalf("decoded record does not re-encode: %v", err)
 			}

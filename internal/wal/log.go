@@ -93,7 +93,7 @@ func Open(fs FS, dir string, opt Options) (*Log, *Recovered, error) {
 		// snapshot) is a complete copy, so older segments become
 		// prunable — recovery doubles as compaction.
 		window := lattice.FromItems(rec.Decided().Minus(rec.Base)...)
-		r := record{T: recDecided, Round: rec.Round, SafeR: rec.SafeR, Len: rec.Decided().Len(), Value: &window}
+		r := record{T: recDecided, Round: rec.Round, SafeR: rec.SafeR, Len: rec.Decided().Len(), Value: window}
 		if err := l.append(r, true); err != nil {
 			return nil, nil, err
 		}
@@ -230,7 +230,7 @@ func (l *Log) traceSync(key string, pending int) {
 // logged, the acceptor's Safe_r at that moment, and the cumulative
 // decided length.
 func (l *Log) AppendDecided(round, safeR, cumLen int, delta lattice.Set) error {
-	return l.append(record{T: recDecided, Round: round, SafeR: safeR, Len: cumLen, Value: &delta}, false)
+	return l.append(record{T: recDecided, Round: round, SafeR: safeR, Len: cumLen, Value: delta}, false)
 }
 
 // SaveCheckpoint persists an installed checkpoint certificate: the
@@ -245,7 +245,7 @@ func (l *Log) SaveCheckpoint(cert msg.CkptCert, value, window lattice.Set) error
 		return l.broken
 	}
 	// 1. Snapshot: the self-contained, self-verifying recovery anchor.
-	snap := record{T: recSnap, Round: cert.Round, Len: cert.Len, Value: &value, Cert: &cert}
+	snap := record{T: recSnap, Round: cert.Round, Len: cert.Len, Value: value, Cert: cert}
 	frame, err := encodeRecord(snap)
 	if err != nil {
 		return l.fail(err)
@@ -283,7 +283,7 @@ func (l *Log) SaveCheckpoint(cert msg.CkptCert, value, window lattice.Set) error
 	l.nBytes.Add(int64(len(frame)))
 
 	// 2. Seal the old generation: marker record + forced sync.
-	if err := l.append(record{T: recCkpt, Len: cert.Len, Cert: &cert}, true); err != nil {
+	if err := l.append(record{T: recCkpt, Len: cert.Len, Cert: cert}, true); err != nil {
 		return err
 	}
 	prevGen := l.prevCkptSeg
@@ -295,8 +295,7 @@ func (l *Log) SaveCheckpoint(cert msg.CkptCert, value, window lattice.Set) error
 	// 3. New generation: the window beyond the new base, synced before
 	// anything older is pruned (written even when empty — it anchors
 	// the generation).
-	w := window
-	if err := l.append(record{T: recDecided, Round: cert.Round, Len: cert.Len + w.Len(), Value: &w}, true); err != nil {
+	if err := l.append(record{T: recDecided, Round: cert.Round, Len: cert.Len + window.Len(), Value: window}, true); err != nil {
 		return err
 	}
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"strings"
@@ -104,7 +105,9 @@ type inventory struct {
 // (falling back to older ones if the newest is damaged), then replay
 // every readable segment on top, healing torn tails by truncating the
 // damaged suffix in place. Leftover .tmp files (a crash mid-snapshot
-// write) are removed.
+// write) are removed. Nothing on disk changes until every file has
+// been read, so a directory holding a record of an unknown format
+// (ErrFormat) is refused exactly as found.
 func scan(fs FS, dir string) (*Recovered, inventory, error) {
 	rec := &Recovered{Base: lattice.Empty(), Tail: lattice.Empty(), Round: -1, SafeR: -1}
 	inv := inventory{chosenSnap: -1}
@@ -112,9 +115,10 @@ func scan(fs FS, dir string) (*Recovered, inventory, error) {
 	if err != nil {
 		return nil, inv, err
 	}
+	var tmps []string
 	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
-			_ = fs.Remove(path.Join(dir, name)) // interrupted snapshot write
+			tmps = append(tmps, name) // interrupted snapshot write
 			continue
 		}
 		if seq, ok := parseSeg(name); ok {
@@ -147,18 +151,20 @@ func scan(fs FS, dir string) (*Recovered, inventory, error) {
 			continue
 		}
 		r, derr := decodeRecord(payload)
+		if errors.Is(derr, ErrFormat) {
+			return nil, inv, fmt.Errorf("%s: %w", name, derr)
+		}
 		if derr != nil || r.T != recSnap {
 			inv.fellBack = true
 			continue
 		}
-		v := *r.Value
-		if v.Digest() != r.Cert.Dig || v.Len() != r.Cert.Len {
+		if r.Value.Digest() != r.Cert.Dig || r.Value.Len() != r.Cert.Len {
 			inv.fellBack = true
 			continue // snapshot value does not match its own certificate
 		}
 		rec.HasCkpt = true
-		rec.Cert = *r.Cert
-		rec.Base = v
+		rec.Cert = r.Cert
+		rec.Base = r.Value
 		inv.chosenSnap = inv.snapLens[i]
 		if r.Cert.Round > rec.SafeR {
 			rec.SafeR = r.Cert.Round
@@ -172,6 +178,11 @@ func scan(fs FS, dir string) (*Recovered, inventory, error) {
 	// Replay every segment in sequence order. Records hold plain item
 	// sets, so unioning everything — including deltas framed against
 	// older bases — reconstructs the decided value exactly.
+	type heal struct {
+		name string
+		good int
+	}
+	var heals []heal
 	for _, seq := range inv.segSeqs {
 		name := path.Join(dir, segName(seq))
 		data, err := fs.ReadFile(name)
@@ -180,19 +191,20 @@ func scan(fs FS, dir string) (*Recovered, inventory, error) {
 		}
 		rec.Segments++
 		recs, good, derr := decodeAll(data)
+		if errors.Is(derr, ErrFormat) {
+			return nil, inv, fmt.Errorf("%s: %w", name, derr)
+		}
 		if derr != nil && good < len(data) {
-			// Damaged suffix: discard it and heal the file in place so
-			// the next open sees a clean segment.
+			// Damaged suffix: discard it, and below heal the file in
+			// place so the next open sees a clean segment.
 			rec.TornTail = true
 			rec.Discarded += int64(len(data) - good)
-			if terr := fs.Truncate(name, int64(good)); terr != nil {
-				return nil, inv, terr
-			}
+			heals = append(heals, heal{name, good})
 		}
 		for _, r := range recs {
 			switch r.T {
 			case recDecided:
-				rec.Tail = rec.Tail.Union(*r.Value)
+				rec.Tail = rec.Tail.Union(r.Value)
 				rec.Records++
 				if r.Round > rec.Round {
 					rec.Round = r.Round
@@ -209,6 +221,14 @@ func scan(fs FS, dir string) (*Recovered, inventory, error) {
 				}
 			}
 		}
+	}
+	for _, h := range heals {
+		if err := fs.Truncate(h.name, int64(h.good)); err != nil {
+			return nil, inv, err
+		}
+	}
+	for _, name := range tmps {
+		_ = fs.Remove(path.Join(dir, name))
 	}
 	return rec, inv, nil
 }

@@ -13,12 +13,14 @@
 //	                         holding the certificate + full prefix
 //
 // Every record — in segments and snapshots alike — is framed as
-// [len u32le][crc32c u32le][payload]; the payload is the canonical
-// JSON of the record (the repo's wire idiom, internal/msg). A torn or
-// bit-flipped suffix fails its CRC, is discarded, and the damaged
-// tail is healed from peers via checkpoint state transfer; everything
-// before the tear replays. Records carry plain (flattened) items, so
-// replay is union-idempotent and needs no ordering or dedup logic.
+// [len u32le][crc32c u32le][payload]; the payload is a version byte,
+// a kind byte, varint fields and the value and certificate in the msg
+// binary codec (record.go). A CRC-valid record with an unknown version
+// makes Open fail with ErrFormat. A torn or bit-flipped suffix fails
+// its CRC, is discarded, and the damaged tail is healed from peers via
+// checkpoint state transfer; everything before the tear replays.
+// Records carry plain (flattened) items, so replay is union-idempotent
+// and needs no ordering or dedup logic.
 //
 // The fault seam mirrors the transport seam of internal/faultnet:
 // Hooks intercepts writes at the record boundary (torn-write,

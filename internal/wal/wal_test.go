@@ -67,7 +67,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	v := lattice.FromItems(items(5)...)
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		frame, err := encodeRecord(record{T: recDecided, Round: i, SafeR: i, Len: v.Len(), Value: &v})
+		frame, err := encodeRecord(record{T: recDecided, Round: i, SafeR: i, Len: v.Len(), Value: v})
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
