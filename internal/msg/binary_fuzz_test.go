@@ -1,24 +1,29 @@
 package msg
 
 import (
+	"bytes"
 	"testing"
+
+	"bgla/internal/lattice"
 )
 
-// FuzzBinaryVsJSONCodec differentially fuzzes the two codecs over one
-// input corpus. The invariants:
+// FuzzBinaryVsJSONCodec differentially fuzzes the two frame forms the
+// wire carries for one message: the plain binary frame and the delta
+// frame a DeltaEncoder sends against a base the peer already holds.
+// (The name dates from when the second codec was a JSON envelope; the
+// corpus under testdata/ keeps its entries, a JSON-era frame among
+// them, which both decoders must now refuse without panicking.) The
+// invariants:
 //
 //  1. Hostile bytes never panic either decoder.
-//  2. Any input the JSON codec accepts describes a message that must
-//     round-trip byte-equivalently through the binary codec: encode the
-//     decoded message twice with EncodeBinary and once via
-//     JSON-re-encode → binary, and all binary frames must be identical
-//     and decode back to the JSON-identical message.
-//  3. Any input the binary codec accepts must survive the mirrored
-//     trip through the JSON codec.
+//  2. Any message either decoder accepts round-trips byte-stably
+//     through the plain binary frame.
+//  3. The same message sent as a delta frame, against a base that holds
+//     part of its set, decodes back to the byte-identical plain frame.
 func FuzzBinaryVsJSONCodec(f *testing.F) {
 	for _, m := range sampleMsgs() {
-		if jr, err := Encode(m); err == nil {
-			f.Add(jr)
+		if dr, err := NewDeltaEncoder().Encode(m); err == nil {
+			f.Add(dr)
 		}
 		if br, err := EncodeBinary(m); err == nil {
 			f.Add(br)
@@ -28,16 +33,17 @@ func FuzzBinaryVsJSONCodec(f *testing.F) {
 	f.Add([]byte{BinMagic, binShard, 2, BinMagic, binJunk, 1, 'j'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if jm, err := Decode(data); err == nil {
-			crossCheck(t, "json-first", jm)
+		if m, nack, err := NewDeltaDecoder().Decode(data); err == nil && nack == nil {
+			crossCheck(t, "delta-first", m)
 		}
-		if bm, err := DecodeBinary(data); err == nil {
-			crossCheck(t, "binary-first", bm)
+		if m, err := DecodeBinary(data); err == nil {
+			crossCheck(t, "binary-first", m)
 		}
 	})
 }
 
-// crossCheck drives m through both codecs and fails on any divergence.
+// crossCheck drives m through both frame forms and fails on any
+// divergence.
 func crossCheck(t *testing.T, origin string, m Msg) {
 	t.Helper()
 	br, err := EncodeBinary(m)
@@ -48,44 +54,46 @@ func crossCheck(t *testing.T, origin string, m Msg) {
 	if err != nil {
 		t.Fatalf("%s: binary decode of own encoding: %v", origin, err)
 	}
-	br2, err := EncodeBinary(bm)
+	if br2, err := EncodeBinary(bm); err != nil || !bytes.Equal(br, br2) {
+		t.Fatalf("%s: binary encoding not byte-stable for %T:\n %x\n %x (%v)", origin, m, br, br2, err)
+	}
+
+	// Prime one link with a base holding the first half of m's set, so
+	// m itself goes over as a delta against it.
+	enc, dec := NewDeltaEncoder(), NewDeltaDecoder()
+	set, hasSet := PrimarySet(m)
+	var base lattice.Set
+	if hasSet {
+		items := set.Items()
+		base = lattice.FromItems(items[:len(items)/2]...)
+		if !base.IsEmpty() {
+			fr, err := enc.Encode(WithPrimarySet(m, base))
+			if err != nil {
+				t.Fatalf("%s: delta encode of base: %v", origin, err)
+			}
+			if _, nack, err := dec.Decode(fr); err != nil || nack != nil {
+				t.Fatalf("%s: delta decode of base: nack=%v err=%v", origin, nack, err)
+			}
+		}
+	}
+	dr, err := enc.Encode(m)
 	if err != nil {
-		t.Fatalf("%s: binary re-encode: %v", origin, err)
+		t.Fatalf("%s: delta encode of decoded %T: %v", origin, m, err)
 	}
-	if string(br) != string(br2) {
-		t.Fatalf("%s: binary encoding not byte-stable for %T:\n %x\n %x", origin, m, br, br2)
+	if delta, _ := enc.Frames(); hasSet && !base.IsEmpty() && delta != 1 {
+		t.Fatalf("%s: %T went over in full despite a usable base", origin, m)
 	}
-	jr, err := Encode(m)
-	if err != nil {
-		t.Fatalf("%s: json encode of decoded %T: %v", origin, m, err)
+	dm, nack, err := dec.Decode(dr)
+	if err != nil || nack != nil {
+		t.Fatalf("%s: delta decode of own encoding: nack=%v err=%v", origin, nack, err)
 	}
-	jm, err := Decode(jr)
-	if err != nil {
-		t.Fatalf("%s: json decode of own encoding: %v", origin, err)
-	}
-	// The codecs must agree on message identity. JSON distinguishes
-	// absent/null byte slices from empty ones while the binary format
-	// has a single zero-length encoding, so both sides are canonicalized
-	// through one binary trip before comparing (field loss is covered by
-	// the DeepEqual round-trip unit tests).
-	cjr, err := EncodeBinary(jm)
-	if err != nil {
-		t.Fatalf("%s: binary encode of json message: %v", origin, err)
-	}
-	cjm, err := DecodeBinary(cjr)
-	if err != nil {
-		t.Fatalf("%s: binary trip of json message: %v", origin, err)
-	}
-	if KeyOf(bm) != KeyOf(cjm) {
-		t.Fatalf("%s: codecs diverged for %T:\n binary: %s\n json:   %s", origin, m, KeyOf(bm), KeyOf(cjm))
-	}
-	// And the binary frame of the JSON-tripped message must be the
+	// The plain frame of the delta-tripped message must be the
 	// byte-identical frame.
-	jbr, err := EncodeBinary(jm)
+	dbr, err := EncodeBinary(dm)
 	if err != nil {
-		t.Fatalf("%s: binary encode of json-tripped %T: %v", origin, jm, err)
+		t.Fatalf("%s: binary encode of delta-tripped %T: %v", origin, dm, err)
 	}
-	if string(jbr) != string(br) {
-		t.Fatalf("%s: binary frames diverge across json trip for %T:\n %x\n %x", origin, m, br, jbr)
+	if !bytes.Equal(dbr, br) {
+		t.Fatalf("%s: frame forms diverge for %T:\n binary: %x\n delta:  %x", origin, m, br, dbr)
 	}
 }

@@ -13,15 +13,16 @@ func sampleSet() lattice.Set {
 	)
 }
 
+// roundtrip sends m through the wire codec and back.
 func roundtrip(t *testing.T, m Msg) Msg {
 	t.Helper()
-	data, err := Encode(m)
+	data, err := EncodeBinary(m)
 	if err != nil {
-		t.Fatalf("Encode(%s): %v", m.Kind(), err)
+		t.Fatalf("EncodeBinary(%s): %v", m.Kind(), err)
 	}
-	out, err := Decode(data)
+	out, err := DecodeBinary(data)
 	if err != nil {
-		t.Fatalf("Decode(%s): %v", m.Kind(), err)
+		t.Fatalf("DecodeBinary(%s): %v", m.Kind(), err)
 	}
 	if out.Kind() != m.Kind() {
 		t.Fatalf("kind changed: %s -> %s", m.Kind(), out.Kind())
@@ -47,7 +48,7 @@ func TestRoundtripCoreMessages(t *testing.T) {
 	for _, m := range msgs {
 		got := roundtrip(t, m)
 		if KeyOf(got) != KeyOf(m) {
-			t.Fatalf("%s roundtrip changed identity:\n  in  %s\n  out %s", m.Kind(), KeyOf(m), KeyOf(got))
+			t.Fatalf("%s roundtrip changed identity:\n  in  %x\n  out %x", m.Kind(), KeyOf(m), KeyOf(got))
 		}
 	}
 }
@@ -105,43 +106,23 @@ func TestRoundtripRBCNesting(t *testing.T) {
 	}
 }
 
-func TestKeyOfDistinguishes(t *testing.T) {
-	a := Disclosure{Round: 0, Value: lattice.FromStrings(0, "x")}
-	b := Disclosure{Round: 0, Value: lattice.FromStrings(0, "y")}
-	c := Disclosure{Round: 1, Value: lattice.FromStrings(0, "x")}
-	if KeyOf(a) == KeyOf(b) || KeyOf(a) == KeyOf(c) {
-		t.Fatal("KeyOf must distinguish different messages")
-	}
-	if KeyOf(a) != KeyOf(Disclosure{Round: 0, Value: lattice.FromStrings(0, "x")}) {
-		t.Fatal("KeyOf must be stable for equal messages")
-	}
-}
-
+// TestDecodeRejectsGarbage feeds the socket decode path (DeltaDecoder,
+// which hands plain frames to DecodeBinary) bytes that are not binary
+// frames: text, a JSON envelope as older builds sent it, an unknown
+// kind, and a body cut short.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not json")); err == nil {
-		t.Fatal("Decode must reject non-JSON")
-	}
-	if _, err := Decode([]byte(`{"k":"no.such.kind","b":{}}`)); err == nil {
-		t.Fatal("Decode must reject unknown kinds")
-	}
-	if _, err := Decode([]byte(`{"k":"ack","b":"not an object"}`)); err == nil {
-		t.Fatal("Decode must reject mistyped bodies")
-	}
-}
-
-func TestSetJSONNormalizesHostileInput(t *testing.T) {
-	// Duplicated and unsorted wire items must come back normalized.
-	raw := []byte(`{"k":"disclosure","b":{"Round":0,"Value":[{"a":1,"b":"z"},{"a":0,"b":"a"},{"a":1,"b":"z"}]}}`)
-	m, err := Decode(raw)
+	valid, err := EncodeBinary(Ack{Accepted: sampleSet(), TS: 1, Round: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.(Disclosure)
-	if d.Value.Len() != 2 {
-		t.Fatalf("hostile set not normalized: %v", d.Value)
-	}
-	items := d.Value.Items()
-	if items[0].Author != 0 || items[1].Author != 1 {
-		t.Fatalf("not sorted: %v", items)
+	for name, raw := range map[string][]byte{
+		"text":          []byte("not a frame"),
+		"json envelope": []byte(`{"k":"ack","b":{"Accepted":[],"TS":1,"Round":2}}`),
+		"unknown kind":  {BinMagic, 0xEE, 0},
+		"cut body":      valid[:len(valid)/2],
+	} {
+		if m, nack, err := NewDeltaDecoder().Decode(raw); err == nil {
+			t.Fatalf("%s: decoded into %#v (nack %v)", name, m, nack)
+		}
 	}
 }
