@@ -1,6 +1,6 @@
 package bgla_test
 
-// One benchmark per experiment table (E1..E14): each
+// One benchmark per experiment table (E1..E13): each
 // regenerates its table through the internal/exp harness and reports
 // the headline metric, so `go test -bench=.` reproduces the paper's
 // quantitative claims end to end. Micro-benchmarks of the protocol hot
@@ -94,10 +94,6 @@ func BenchmarkE13WaitFree(b *testing.B) {
 	benchTable(b, func() *exp.Table { return exp.WaitFree(true) }, "", "")
 }
 
-func BenchmarkE14Throughput(b *testing.B) {
-	benchTable(b, func() *exp.Table { return exp.Throughput(true) }, "values/decision", "values/decision")
-}
-
 // --- protocol micro-benchmarks -------------------------------------------
 
 func proposalsFor(n int) map[int][]string {
@@ -159,78 +155,6 @@ func BenchmarkGSbSRoundsN4(b *testing.B) {
 		}
 		if len(rep.Violations) != 0 {
 			b.Fatalf("violations: %v", rep.Violations)
-		}
-	}
-}
-
-func BenchmarkServiceUpdate(b *testing.B) {
-	svc, err := bgla.NewService(bgla.ServiceConfig{Replicas: 4, Faulty: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := svc.Update(bgla.IncCmd(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServiceUpdateConcurrent drives parallel updaters through the
-// batching pipeline; compare with BenchmarkServiceUpdateUnbatched to see
-// the coalescing win under contention.
-func BenchmarkServiceUpdateConcurrent(b *testing.B) {
-	svc, err := bgla.NewService(bgla.ServiceConfig{Replicas: 4, Faulty: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	b.SetParallelism(16)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := svc.Update(bgla.IncCmd(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkServiceUpdateUnbatched forces the seed's one-at-a-time
-// client (batch 1, one flight) under the same parallel load.
-func BenchmarkServiceUpdateUnbatched(b *testing.B) {
-	svc, err := bgla.NewService(bgla.ServiceConfig{
-		Replicas: 4, Faulty: 1, MaxBatch: 1, MaxInFlight: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	b.SetParallelism(16)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := svc.Update(bgla.IncCmd(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkServiceRead(b *testing.B) {
-	svc, err := bgla.NewService(bgla.ServiceConfig{Replicas: 4, Faulty: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	if err := svc.Update(bgla.AddCmd("x")); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.Read(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

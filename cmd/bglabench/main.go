@@ -1,8 +1,8 @@
 // Command bglabench prints the paper-reproduction experiment tables
-// E1-E14: the Figure 1 chain, the Theorem 1 resilience attack, the
+// E1-E13: the Figure 1 chain, the Theorem 1 resilience attack, the
 // latency and message-complexity bounds of WTS/GWTS/SbS/GSbS, the RSM
 // linearizability workload, the crash-stop baseline comparison, the
-// defense ablations, wait-freedom and live throughput. It exits 1 if
+// defense ablations and wait-freedom. It exits 1 if
 // any table fails. Performance is measured by bench/ (BENCHMARK.json),
 // not here.
 //

@@ -1,17 +1,12 @@
 package exp
 
 import (
-	"fmt"
-	"time"
-
-	"bgla/internal/chanet"
 	"bgla/internal/check"
 	"bgla/internal/core"
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/sbs"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
-	"bgla/internal/msg"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
 	"bgla/internal/sim"
@@ -160,79 +155,5 @@ func GSbSVsGWTSMessages(quick bool) *Table {
 		t.Pass = false
 		t.Note("GWTS/GSbS advantage did not grow with n")
 	}
-	return t
-}
-
-// Throughput (E14) measures live GWTS decision throughput on the
-// concurrent runtime: values are injected continuously; we report
-// decisions/sec, values/decision (batching) and messages.
-func Throughput(quick bool) *Table {
-	t := &Table{
-		ID:      "E14",
-		Title:   "live GWTS throughput on the concurrent runtime (batching effect)",
-		Columns: []string{"n", "values", "wall ms", "decisions p0", "values/decision", "msgs"},
-		Pass:    true,
-	}
-	values := 60
-	if quick {
-		values = 20
-	}
-	for _, n := range []int{4, 7} {
-		f := core.MaxFaulty(n)
-		var machines []proto.Machine
-		var replicas []*gwts.Machine
-		for i := 0; i < n; i++ {
-			m, err := gwts.New(gwts.Config{Self: ident.ProcessID(i), N: n, F: f})
-			if err != nil {
-				panic(err)
-			}
-			replicas = append(replicas, m)
-			machines = append(machines, m)
-		}
-		net := chanet.New(machines, chanet.Options{Seed: 7})
-		net.Start()
-		start := time.Now()
-		for k := 0; k < values; k++ {
-			cmd := lattice.Item{Author: 1000, Body: fmt.Sprintf("val-%d", k)}
-			net.Inject(1000, ident.ProcessID(k%(f+1)), msg.NewValue{Cmd: cmd})
-		}
-		// Wait until p0 has decided all values, following its decision
-		// sizes through the event stream: machine state must not be read
-		// while the net is still driving the machines concurrently.
-		// The event buffer can overflow and drop a final DecideEvent, so
-		// a no-progress bound (not just the deadline) ends the wait; the
-		// authoritative decided count is read after Stop quiesces the
-		// machines.
-		deadline := time.Now().Add(60 * time.Second)
-		decidedLen, idle := 0, 0
-		for decidedLen < values && idle < 40 && time.Now().Before(deadline) {
-			got := net.AwaitEvents(1, 50*time.Millisecond, func(e proto.Event) bool {
-				d, ok := e.(proto.DecideEvent)
-				if !ok || d.Proc != 0 {
-					return false
-				}
-				if d.Value.Len() > decidedLen {
-					decidedLen = d.Value.Len()
-				}
-				return true
-			})
-			if got == 0 {
-				idle++
-			} else {
-				idle = 0
-			}
-		}
-		wall := time.Since(start)
-		net.Stop()
-		decided := replicas[0].Decided()
-		decs := len(replicas[0].Decisions())
-		if decided.Len() < values || decs == 0 {
-			t.Pass = false
-			t.Note("E14 n=%d: only %d/%d values decided", n, decided.Len(), values)
-			continue
-		}
-		t.AddRow(n, values, wall.Milliseconds(), decs, float64(values)/float64(decs), net.Sent())
-	}
-	t.Note("values/decision > 1 shows the tumbling-batch amortization of §6.2")
 	return t
 }

@@ -1,4 +1,4 @@
-// Package exp regenerates the paper-reproduction tables E1-E14: one
+// Package exp regenerates the paper-reproduction tables E1-E13: one
 // generator per quantitative claim of the paper (the bounds proved in
 // §§4, 5.1, 6.3-6.4, 8.1-8.2, the Figure 1 chain, the RSM properties of
 // §7) plus the design ablations called out in DESIGN.md. The same
@@ -84,7 +84,7 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// All runs every experiment (E1-E14) in order. The quick flag trims
+// All runs every experiment (E1-E13) in order. The quick flag trims
 // parameter sweeps for fast regression runs (tests).
 func All(quick bool) []*Table {
 	return []*Table{
@@ -101,6 +101,5 @@ func All(quick bool) []*Table {
 		BaselineComparison(quick),
 		Ablations(),
 		WaitFree(quick),
-		Throughput(quick),
 	}
 }
