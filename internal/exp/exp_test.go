@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// requirePass runs a generator and fails on violations.
+// requirePass runs a generator, fails on violations, and pins the
+// rendered table to testdata/<ID>.golden — the `bglabench -quick -only
+// <ID>` output, regenerated by hand when a table is meant to change.
 func requirePass(t *testing.T, tbl *Table) {
 	t.Helper()
 	if !tbl.Pass {
@@ -13,6 +17,13 @@ func requirePass(t *testing.T, tbl *Table) {
 	}
 	if len(tbl.Rows) == 0 {
 		t.Fatalf("%s produced no rows", tbl.ID)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", tbl.ID+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Render() + "\n"; got != string(want) {
+		t.Fatalf("%s differs from its golden file:\n--- got\n%s--- want\n%s", tbl.ID, got, want)
 	}
 }
 
