@@ -6,9 +6,10 @@
 //
 // The package offers three entry points:
 //
-//   - Solve / SolveGeneralized run the protocols over the deterministic
-//     in-process simulator and report decisions plus cost metrics
-//     (message delays and message counts as defined in the paper);
+//   - Solve / SolveGeneralized run the protocols as a closed world on
+//     the deterministic virtual-time engine and report decisions plus
+//     cost metrics (message delays and message counts as defined in
+//     the paper);
 //   - Service deploys a live Byzantine-tolerant RSM on a concurrent
 //     in-process network with a blocking Update/Read client API;
 //   - Store shards that RSM into key-partitioned independent lattices
@@ -27,12 +28,12 @@ import (
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/sbs"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 // Algorithm selects the agreement protocol.
@@ -185,11 +186,14 @@ func Solve(cfg Config) (*Report, error) {
 			decide[i] = m.Decision
 		}
 	}
-	var delay sim.DelayModel = sim.Fixed(1)
+	var delay faultnet.DelayModel = faultnet.Fixed(1)
 	if cfg.DelayHi > cfg.DelayLo {
-		delay = sim.Uniform{Lo: maxU(1, cfg.DelayLo), Hi: cfg.DelayHi}
+		delay = faultnet.Uniform{Lo: maxU(1, cfg.DelayLo), Hi: cfg.DelayHi}
 	}
-	res := sim.New(sim.Config{Machines: machines, Delay: delay, Seed: cfg.Seed, MaxTime: cfg.MaxVirtualTime}).Run()
+	res := faultnet.New(machines, faultnet.Options{
+		Seed:  cfg.Seed,
+		Delay: delay,
+	}).Run(faultnet.Limits{MaxTime: cfg.MaxVirtualTime})
 
 	rep := &Report{Decisions: map[int][]Item{}}
 	run := &check.LARun{
@@ -298,7 +302,7 @@ func SolveGeneralized(cfg GenConfig) (*GenReport, error) {
 			inputOf[i] = m.Inputs
 		}
 	}
-	res := sim.New(sim.Config{Machines: machines, Seed: cfg.Seed, MaxTime: cfg.MaxVirtualTime}).Run()
+	res := faultnet.New(machines, faultnet.Options{Seed: cfg.Seed}).Run(faultnet.Limits{MaxTime: cfg.MaxVirtualTime})
 
 	rep := &GenReport{DecisionSeqs: map[int][][]Item{}, Final: map[int][]Item{}}
 	run := &check.GLARun{

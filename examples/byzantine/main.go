@@ -11,10 +11,10 @@ import (
 	"bgla/internal/byz"
 	"bgla/internal/check"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 func main() {
@@ -75,7 +75,7 @@ func runScenario(name string, adversary proto.Machine) {
 		machines = append(machines, m)
 	}
 	machines = append(machines, adversary)
-	sim.New(sim.Config{Machines: machines, MaxTime: 10_000, MaxDeliveries: 2_000_000}).Run()
+	faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000, MaxDeliveries: 2_000_000})
 
 	run := &check.LARun{
 		Proposals: map[ident.ProcessID]lattice.Set{},

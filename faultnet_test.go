@@ -138,7 +138,7 @@ func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 				sched = sc.sched(h) // wrappers/reps exist by now
 			}
 			h.net = faultnet.New(machines, faultnet.Options{
-				Seed: seed, MaxDelay: maxDelay,
+				Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: maxDelay},
 				Schedule: sched, Trace: h.trace,
 			})
 			return h.net
@@ -871,7 +871,7 @@ func TestServiceIsOneShardStore(t *testing.T) {
 							t.Errorf("S = 1 put a shard.Demux on the transport (replica %v)", m.ID())
 						}
 					}
-					net = faultnet.New(machines, faultnet.Options{Seed: seed, MaxDelay: 3, Trace: trace})
+					net = faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}, Trace: trace})
 					return net
 				},
 				Storage: &StorageHooks{FS: wal.NewMemFS()},

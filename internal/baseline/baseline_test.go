@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"bgla/internal/check"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 type crashed struct {
@@ -65,7 +65,7 @@ func verify(t *testing.T, correct []*Machine, wantLive bool) {
 func TestAllCorrectDecide(t *testing.T) {
 	for _, n := range []int{3, 5, 9} {
 		correct, all := cluster(t, n, 0)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		for _, m := range correct {
 			if _, ok := m.Decision(); !ok {
 				t.Fatalf("n=%d: %v blocked", n, m.ID())
@@ -81,7 +81,7 @@ func TestAllCorrectDecide(t *testing.T) {
 func TestToleratesMinorityCrashes(t *testing.T) {
 	for _, tc := range []struct{ n, crashes int }{{5, 2}, {9, 4}, {4, 1}} {
 		correct, all := cluster(t, tc.n, tc.crashes)
-		sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		for _, m := range correct {
 			if _, ok := m.Decision(); !ok {
 				t.Fatalf("n=%d crashes=%d: %v blocked", tc.n, tc.crashes, m.ID())
@@ -95,7 +95,7 @@ func TestBlocksWithoutMajority(t *testing.T) {
 	// With n/2+ crashes the quorum is unreachable: no decision (the
 	// baseline's known limit; Byzantine tolerance is a different regime).
 	correct, all := cluster(t, 4, 2)
-	sim.New(sim.Config{Machines: all, MaxTime: 1_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000})
 	for _, m := range correct {
 		if _, ok := m.Decision(); ok {
 			t.Fatal("decided without majority")
@@ -109,7 +109,7 @@ func TestCheaperThanByzantineProtocol(t *testing.T) {
 	// WTS's O(n²) — sanity check the constant.
 	n := 16
 	correct, all := cluster(t, n, 0)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	ids := make([]ident.ProcessID, len(correct))
 	for i, m := range correct {
 		ids[i] = m.ID()
@@ -125,11 +125,9 @@ func TestRefinementsUnderStagger(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		offsets[ident.ProcessID(i)] = uint64(2 * i)
 	}
-	sim.New(sim.Config{
-		Machines: all,
-		Delay:    sim.SenderStagger{Base: sim.Fixed(1), Offset: offsets},
-		MaxTime:  100_000,
-	}).Run()
+	faultnet.New(all, faultnet.Options{
+		Delay: faultnet.SenderStagger{Base: faultnet.Fixed(1), Offset: offsets},
+	}).Run(faultnet.Limits{MaxTime: 100_000})
 	verify(t, correct, true)
 }
 

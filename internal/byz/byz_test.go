@@ -7,10 +7,10 @@ import (
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // wtsCluster builds correct WTS machines around the given adversaries.
@@ -81,7 +81,7 @@ func TestWTSWithstandsEachAdversary(t *testing.T) {
 	}
 	for name, mk := range cases {
 		correct, all := wtsCluster(t, n, f, []proto.Machine{mk()})
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000, MaxDeliveries: 2_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000, MaxDeliveries: 2_000_000})
 		ids := make([]ident.ProcessID, len(correct))
 		for i, m := range correct {
 			ids[i] = m.ID()
@@ -121,7 +121,7 @@ func TestNackSpammerCannotStarve(t *testing.T) {
 	n, f := 7, 2
 	adv := []proto.Machine{&NackSpammer{Self: 5}, &NackSpammer{Self: 6}}
 	correct, all := wtsCluster(t, n, f, adv)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 	for _, m := range correct {
 		if r := res.Refinements(m.ID()); r > f {
 			t.Fatalf("%v refined %d > f under nack spam", m.ID(), r)
@@ -209,7 +209,7 @@ func TestRoundSpammerContained(t *testing.T) {
 		MaxRound: 30,
 	}
 	all = append(all, spammer)
-	sim.New(sim.Config{Machines: all, MaxTime: 4000, MaxDeliveries: 3_000_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 4000, MaxDeliveries: 3_000_000})
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
 		Inputs:       map[ident.ProcessID]lattice.Set{},

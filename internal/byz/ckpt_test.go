@@ -42,7 +42,7 @@ func driveCkptAdversary(t *testing.T, adv proto.Machine, kc sig.Keychain, values
 		machines = append(machines, m)
 	}
 	machines = append(machines, adv)
-	net := faultnet.New(machines, faultnet.Options{Seed: 9, MaxDelay: 2})
+	net := faultnet.New(machines, faultnet.Options{Seed: 9, Delay: faultnet.Uniform{Lo: 1, Hi: 2}})
 	net.Start()
 	for k := 0; k < values; k++ {
 		cmd := lattice.Item{Author: ckptClient, Body: fmt.Sprintf("cmd-%03d", k)}

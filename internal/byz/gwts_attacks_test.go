@@ -6,10 +6,10 @@ import (
 
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // TestGWTSDisclosureEquivocation attacks the round-0 disclosure of GWTS
@@ -41,11 +41,10 @@ func TestGWTSDisclosureEquivocation(t *testing.T) {
 			ValA:  lattice.FromStrings(3, "split-A"),
 			ValB:  lattice.FromStrings(3, "split-B"),
 		})
-		sim.New(sim.Config{
-			Machines: machines,
-			Delay:    sim.Uniform{Lo: 1, Hi: 3},
-			Seed:     seed, MaxTime: 100_000,
-		}).Run()
+		faultnet.New(machines, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 3},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 
 		// At most one split value may appear anywhere; decisions chain.
 		seen := lattice.Empty()
@@ -99,7 +98,7 @@ func TestGWTSNackSpamRefinementsBounded(t *testing.T) {
 		machines = append(machines, m)
 	}
 	machines = append(machines, &NackSpammer{Self: 3})
-	res := sim.New(sim.Config{Machines: machines, MaxTime: 100_000}).Run()
+	res := faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 	rounds := 0
 	for _, m := range correct {
 		if r := len(m.Decisions()); r > rounds {

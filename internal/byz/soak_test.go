@@ -11,11 +11,11 @@ import (
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/sbs"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 // seedFlag shifts every soak sweep's seed range for replay and CI seed
@@ -65,11 +65,10 @@ func TestWTSSoakAcrossSeedsAndAdversaries(t *testing.T) {
 				for i := tc.n - tc.f; i < tc.n; i++ {
 					machines = append(machines, mkAdversary(adv, ident.ProcessID(i), seed))
 				}
-				sim.New(sim.Config{
-					Machines: machines,
-					Delay:    sim.Uniform{Lo: 1, Hi: 1 + uint64(seed%5)*2},
-					Seed:     seed, MaxTime: 50_000, MaxDeliveries: 3_000_000,
-				}).Run()
+				faultnet.New(machines, faultnet.Options{
+					Seed:  seed,
+					Delay: faultnet.Uniform{Lo: 1, Hi: 1 + uint64(seed%5)*2},
+				}).Run(faultnet.Limits{MaxTime: 50_000, MaxDeliveries: 3_000_000})
 				run := &check.LARun{
 					Proposals: map[ident.ProcessID]lattice.Set{},
 					Decisions: map[ident.ProcessID]lattice.Set{},
@@ -119,11 +118,10 @@ func TestGWTSSoakWithAdversaries(t *testing.T) {
 				machines = append(machines, m)
 			}
 			machines = append(machines, mkAdversary(adv, ident.ProcessID(n-1), seed))
-			sim.New(sim.Config{
-				Machines: machines,
-				Delay:    sim.Uniform{Lo: 1, Hi: 4},
-				Seed:     seed, MaxTime: 100_000, MaxDeliveries: 3_000_000,
-			}).Run()
+			faultnet.New(machines, faultnet.Options{
+				Seed:  seed,
+				Delay: faultnet.Uniform{Lo: 1, Hi: 4},
+			}).Run(faultnet.Limits{MaxTime: 100_000, MaxDeliveries: 3_000_000})
 			run := &check.GLARun{
 				DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
 				Inputs:       map[ident.ProcessID]lattice.Set{},
@@ -163,11 +161,10 @@ func TestSbSSoakWithAdversaries(t *testing.T) {
 				machines = append(machines, m)
 			}
 			machines = append(machines, mkAdversary(adv, ident.ProcessID(n-1), seed))
-			sim.New(sim.Config{
-				Machines: machines,
-				Delay:    sim.Uniform{Lo: 1, Hi: 3},
-				Seed:     seed, MaxTime: 50_000, MaxDeliveries: 3_000_000,
-			}).Run()
+			faultnet.New(machines, faultnet.Options{
+				Seed:  seed,
+				Delay: faultnet.Uniform{Lo: 1, Hi: 3},
+			}).Run(faultnet.Limits{MaxTime: 50_000, MaxDeliveries: 3_000_000})
 			run := &check.LARun{
 				Proposals: map[ident.ProcessID]lattice.Set{},
 				Decisions: map[ident.ProcessID]lattice.Set{},
@@ -204,11 +201,10 @@ func TestQuickComparabilityUnderRandomSchedules(t *testing.T) {
 			correct = append(correct, m)
 			machines = append(machines, m)
 		}
-		sim.New(sim.Config{
-			Machines: machines,
-			Delay:    sim.Uniform{Lo: 1, Hi: 1 + uint64(spread%17)},
-			Seed:     seed, MaxTime: 100_000,
-		}).Run()
+		faultnet.New(machines, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 1 + uint64(spread%17)},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 		var decisions []lattice.Set
 		for _, m := range correct {
 			d, ok := m.Decision()

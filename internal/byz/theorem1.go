@@ -7,11 +7,11 @@ import (
 	"bgla/internal/check"
 	"bgla/internal/core"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // TheoremOneOutcome reports the result of the Theorem 1 lower-bound
@@ -84,18 +84,16 @@ func RunTheoremOne(n, fActual int, healAt uint64, seed int64) TheoremOneOutcome 
 	for _, b := range sideB {
 		cross[b] = 2
 	}
-	delay := sim.DelayFunc(func(from, to ident.ProcessID, m msg.Msg, now uint64, _ *rand.Rand) uint64 {
+	delay := faultnet.DelayFunc(func(from, to ident.ProcessID, m msg.Msg, now uint64, _ *rand.Rand) uint64 {
 		if cross[from] != 0 && cross[to] != 0 && cross[from] != cross[to] && now < healAt {
 			return healAt - now + 1
 		}
 		return 1
 	})
-	res := sim.New(sim.Config{
-		Machines: machines,
-		Delay:    delay,
-		Seed:     seed,
-		MaxTime:  healAt + 1000,
-	}).Run()
+	res := faultnet.New(machines, faultnet.Options{
+		Seed:  seed,
+		Delay: delay,
+	}).Run(faultnet.Limits{MaxTime: healAt + 1000})
 
 	out := TheoremOneOutcome{N: n, FActual: fActual, FConfig: fConfig, CorrectCt: correctCount}
 	decisions := map[ident.ProcessID]lattice.Set{}

@@ -1,7 +1,7 @@
 // Package chanet runs protocol machines under real concurrency: one
 // goroutine per machine, unbounded mailboxes between them, and optional
 // random delivery jitter. It provides the live counterpart of the
-// deterministic simulator — the same proto.Machine implementations run
+// deterministic virtual-time engine (internal/faultnet) — the same proto.Machine implementations run
 // unchanged — and is exercised under the race detector to validate that
 // machines are driven safely from concurrent transports.
 //

@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"bgla/internal/check"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // buildCluster creates n-len(byz) correct GWTS machines. seedValues[i]
@@ -71,7 +71,7 @@ func TestSingleRoundAllCorrect(t *testing.T) {
 			seeds[i] = []lattice.Item{item(i, "v0")}
 		}
 		correct, all := buildCluster(t, tc.n, tc.f, seeds, nil, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 		if res.Undelivered != 0 {
 			t.Fatalf("n=%d: run did not quiesce (%d undelivered)", tc.n, res.Undelivered)
 		}
@@ -93,11 +93,11 @@ func TestMultiRoundBatching(t *testing.T) {
 	correct, all := buildCluster(t, n, f, nil, nil, nil)
 	feeder := &feederMachine{id: 100, n: n, f: f}
 	all = append(all, feeder)
-	var wakeups []sim.Wakeup
+	var wakeups []faultnet.Wakeup
 	for k := 0; k < 6; k++ {
-		wakeups = append(wakeups, sim.Wakeup{At: uint64(1 + 30*k), To: 100, Tag: fmt.Sprintf("val-%d", k)})
+		wakeups = append(wakeups, faultnet.Wakeup{At: uint64(1 + 30*k), To: 100, Tag: fmt.Sprintf("val-%d", k)})
 	}
-	res := sim.New(sim.Config{Machines: all, Wakeups: wakeups, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d undelivered", res.Undelivered)
 	}
@@ -153,7 +153,7 @@ func TestProgressDespiteMuteByzantines(t *testing.T) {
 	}
 	byz := []proto.Machine{&muteMachine{id: 5}, &muteMachine{id: 6}}
 	correct, all := buildCluster(t, n, f, seeds, byz, nil)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d undelivered", res.Undelivered)
 	}
@@ -164,7 +164,7 @@ func TestMinRoundsForcesEmptyRounds(t *testing.T) {
 	n, f := 4, 1
 	seeds := map[int][]lattice.Item{0: {item(0, "only")}}
 	correct, all := buildCluster(t, n, f, seeds, nil, func(c *Config) { c.MinRounds = 3 })
-	res := sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
@@ -183,7 +183,7 @@ func TestLocalStabilityAcrossRounds(t *testing.T) {
 		seeds[i] = []lattice.Item{item(i, "r0")}
 	}
 	correct, all := buildCluster(t, n, f, seeds, nil, func(c *Config) { c.MinRounds = 4 })
-	sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	for _, m := range correct {
 		seq := m.Decisions()
 		for h := 1; h < len(seq); h++ {
@@ -222,7 +222,7 @@ func TestRoundJumperCannotSkipRounds(t *testing.T) {
 		return outs
 	}}
 	correct, all := buildCluster(t, n, f, seeds, []proto.Machine{jumper}, nil)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
@@ -259,7 +259,7 @@ func TestSubscribersReceiveDecideNotifications(t *testing.T) {
 		c.Subscribers = []ident.ProcessID{50}
 	})
 	all = append(all, client)
-	sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 	if len(client.decides) < len(correct) {
 		t.Fatalf("client saw %d decide notifications, want >= %d", len(client.decides), len(correct))
 	}
@@ -353,7 +353,7 @@ func TestMessageComplexityPerDecision(t *testing.T) {
 			seeds[i] = []lattice.Item{item(i, "v")}
 		}
 		correct, all := buildCluster(t, n, f, seeds, nil, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 		ids := make([]ident.ProcessID, len(correct))
 		for i, m := range correct {
 			ids[i] = m.ID()
@@ -380,7 +380,10 @@ func TestDeterministicReplay(t *testing.T) {
 			seeds[i] = []lattice.Item{item(i, "v")}
 		}
 		_, all := buildCluster(t, 7, 2, seeds, nil, func(c *Config) { c.MinRounds = 2 })
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 5}, Seed: 7, MaxTime: 1_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  7,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 5},
+		}).Run(faultnet.Limits{MaxTime: 1_000_000})
 		return res.Metrics.SentTotal(), res.EndTime
 	}
 	s1, t1 := run()
@@ -397,7 +400,10 @@ func TestRandomDelaysManySeeds(t *testing.T) {
 			seeds[i] = []lattice.Item{item(i, fmt.Sprintf("s%d", seed))}
 		}
 		correct, all := buildCluster(t, 4, 1, seeds, nil, func(c *Config) { c.MinRounds = 2 })
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 6}, Seed: seed, MaxTime: 1_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 6},
+		}).Run(faultnet.Limits{MaxTime: 1_000_000})
 		if res.Undelivered != 0 {
 			t.Fatalf("seed %d: did not quiesce", seed)
 		}

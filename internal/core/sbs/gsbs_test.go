@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"bgla/internal/check"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 func gCluster(t *testing.T, n, f int, kc sig.Keychain, seeds map[int][]lattice.Item, byz []proto.Machine, opts func(*GConfig)) ([]*GMachine, []proto.Machine) {
@@ -70,7 +70,7 @@ func TestGSbSSingleRound(t *testing.T) {
 			seeds[i] = []lattice.Item{gItem(i, "v0")}
 		}
 		correct, all := gCluster(t, tc.n, tc.f, kc, seeds, nil, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 100_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 100_000})
 		if res.Undelivered != 0 {
 			t.Fatalf("n=%d: did not quiesce (%d queued)", tc.n, res.Undelivered)
 		}
@@ -84,11 +84,11 @@ func TestGSbSMultiRoundFeeding(t *testing.T) {
 	correct, all := gCluster(t, n, f, kc, nil, nil, nil)
 	feeder := &gFeeder{id: 100, f: f}
 	all = append(all, feeder)
-	var wakeups []sim.Wakeup
+	var wakeups []faultnet.Wakeup
 	for k := 0; k < 5; k++ {
-		wakeups = append(wakeups, sim.Wakeup{At: uint64(1 + 25*k), To: 100, Tag: fmt.Sprintf("w%d", k)})
+		wakeups = append(wakeups, faultnet.Wakeup{At: uint64(1 + 25*k), To: 100, Tag: fmt.Sprintf("w%d", k)})
 	}
-	res := sim.New(sim.Config{Machines: all, Wakeups: wakeups, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d queued", res.Undelivered)
 	}
@@ -127,7 +127,7 @@ func TestGSbSMinRounds(t *testing.T) {
 	kc := sig.NewSim(n, 1)
 	seeds := map[int][]lattice.Item{0: {gItem(0, "x")}}
 	correct, all := gCluster(t, n, f, kc, seeds, nil, func(c *GConfig) { c.MinRounds = 3 })
-	res := sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
@@ -143,7 +143,7 @@ func TestGSbSMutesTolerated(t *testing.T) {
 	}
 	byz := []proto.Machine{&sbsMute{id: 3}}
 	correct, all := gCluster(t, n, f, kc, seeds, byz, nil)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
@@ -178,7 +178,7 @@ func TestGSbSForgedCertificateRejected(t *testing.T) {
 	}
 	byz := []proto.Machine{&certForger{id: 3}}
 	correct, all := gCluster(t, n, f, kc, seeds, byz, nil)
-	sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	gVerify(t, correct, nil, 1)
 	for _, m := range correct {
 		if m.Decided().Contains(gItem(3, "fake")) {
@@ -213,7 +213,7 @@ func TestGSbSFarFutureInitRejected(t *testing.T) {
 	}
 	byz := []proto.Machine{&farInit{id: 3, crypto: NewCrypto(kc, 3, 3)}}
 	correct, all := gCluster(t, n, f, kc, seeds, byz, nil)
-	sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	gVerify(t, correct, nil, 1)
 	for _, m := range correct {
 		if m.Rejected() == 0 {
@@ -234,7 +234,7 @@ func TestGSbSLinearMessagesPerDecision(t *testing.T) {
 			seeds[i] = []lattice.Item{gItem(i, "v")}
 		}
 		correct, all := gCluster(t, n, f, kc, seeds, nil, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 1_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 		ids := make([]ident.ProcessID, len(correct))
 		rounds := 0
 		for i, m := range correct {
@@ -264,7 +264,10 @@ func TestGSbSDeterministicReplay(t *testing.T) {
 			seeds[i] = []lattice.Item{gItem(i, "v")}
 		}
 		_, all := gCluster(t, 4, 1, kc, seeds, nil, func(c *GConfig) { c.MinRounds = 2 })
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 5}, Seed: 11, MaxTime: 1_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  11,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 5},
+		}).Run(faultnet.Limits{MaxTime: 1_000_000})
 		return res.Metrics.SentTotal(), res.EndTime
 	}
 	s1, t1 := run()
@@ -282,7 +285,10 @@ func TestGSbSRandomSeeds(t *testing.T) {
 			seeds[i] = []lattice.Item{gItem(i, fmt.Sprintf("s%d", seed))}
 		}
 		correct, all := gCluster(t, 4, 1, kc, seeds, nil, nil)
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 6}, Seed: seed, MaxTime: 1_000_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 6},
+		}).Run(faultnet.Limits{MaxTime: 1_000_000})
 		if res.Undelivered != 0 {
 			t.Fatalf("seed %d: did not quiesce", seed)
 		}

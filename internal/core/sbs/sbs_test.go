@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"bgla/internal/check"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 func sbsCluster(t *testing.T, n, f int, kc sig.Keychain, byz []proto.Machine) ([]*Machine, []proto.Machine) {
@@ -74,7 +74,7 @@ func TestSbSAllCorrectDecideWithinBound(t *testing.T) {
 	for _, tc := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {4, 0}} {
 		kc := sig.NewSim(tc.n, 1)
 		correct, all := sbsCluster(t, tc.n, tc.f, kc, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		maxT, ok := res.MaxDecisionTime(sbsIDs(correct))
 		if !ok {
 			t.Fatalf("n=%d f=%d: not all decided", tc.n, tc.f)
@@ -103,7 +103,7 @@ func TestSbSWaitFreeWithMutes(t *testing.T) {
 			byz = append(byz, &sbsMute{id: ident.ProcessID(tc.n - 1 - i)})
 		}
 		correct, all := sbsCluster(t, tc.n, tc.f, kc, byz)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		maxT, ok := res.MaxDecisionTime(sbsIDs(correct))
 		if !ok {
 			t.Fatalf("n=%d f=%d: blocked by mutes", tc.n, tc.f)
@@ -146,7 +146,10 @@ func TestSbSEquivocationAtMostOneSafeValue(t *testing.T) {
 		kc := sig.NewSim(n, 1)
 		byz := []proto.Machine{&equivocator{id: 3, n: n, crypto: NewCrypto(kc, 3, (n+f)/2+1)}}
 		correct, all := sbsCluster(t, n, f, kc, byz)
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 4}, Seed: seed, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 4},
+		}).Run(faultnet.Limits{MaxTime: 10_000})
 		if _, ok := res.MaxDecisionTime(sbsIDs(correct)); !ok {
 			t.Fatalf("seed %d: no decision", seed)
 		}
@@ -194,7 +197,7 @@ func TestSbSForgedValuesRejected(t *testing.T) {
 	kc := sig.NewSim(n, 1)
 	byz := []proto.Machine{&forger{id: 3}}
 	correct, all := sbsCluster(t, n, f, kc, byz)
-	sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	for _, m := range correct {
 		d, ok := m.Decision()
 		if !ok {
@@ -216,11 +219,9 @@ func TestSbSRefinementsBounded(t *testing.T) {
 		for i := 0; i < tc.n; i++ {
 			offsets[ident.ProcessID(i)] = uint64(3 * i)
 		}
-		res := sim.New(sim.Config{
-			Machines: all,
-			Delay:    sim.SenderStagger{Base: sim.Fixed(1), Offset: offsets},
-			MaxTime:  100_000,
-		}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Delay: faultnet.SenderStagger{Base: faultnet.Fixed(1), Offset: offsets},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 		for _, m := range correct {
 			if r := res.Refinements(m.ID()); r > 2*tc.f {
 				t.Fatalf("n=%d f=%d: %v refined %d > 2f", tc.n, tc.f, m.ID(), r)
@@ -241,7 +242,7 @@ func TestSbSMessageComplexityLinear(t *testing.T) {
 		f := 1
 		kc := sig.NewSim(n, 1)
 		correct, all := sbsCluster(t, n, f, kc, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		if _, ok := res.MaxDecisionTime(sbsIDs(correct)); !ok {
 			t.Fatalf("n=%d: no decision", n)
 		}
@@ -309,7 +310,7 @@ func TestSbSWithEd25519(t *testing.T) {
 	n, f := 4, 1
 	kc := sig.NewEd25519(n, 2)
 	correct, all := sbsCluster(t, n, f, kc, nil)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	if _, ok := res.MaxDecisionTime(sbsIDs(correct)); !ok {
 		t.Fatal("ed25519 run did not decide")
 	}

@@ -3,11 +3,11 @@ package wts
 import (
 	"testing"
 
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // junkAcker floods undisclosed-value requests and acks everything (the
@@ -48,7 +48,7 @@ func runAblatedSafe(t *testing.T, disable bool) bool {
 		machines = append(machines, m)
 	}
 	machines = append(machines, &junkAcker{id: 3})
-	sim.New(sim.Config{Machines: machines, MaxTime: 10_000}).Run()
+	faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	leaked := false
 	for _, m := range correct {
 		d, ok := m.Decision()
@@ -87,7 +87,7 @@ func TestDisableRBCUsesPlainDisclosures(t *testing.T) {
 		correct = append(correct, m)
 		machines = append(machines, m)
 	}
-	res := sim.New(sim.Config{Machines: machines, MaxTime: 10_000}).Run()
+	res := faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	for _, m := range correct {
 		if _, ok := m.Decision(); !ok {
 			t.Fatalf("%v did not decide without RBC (honest run)", m.ID())

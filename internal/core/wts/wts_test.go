@@ -1,15 +1,16 @@
 package wts
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"bgla/internal/check"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // cluster builds n-|byz| correct WTS machines (one singleton proposal
@@ -75,7 +76,7 @@ func verify(t *testing.T, ms []*Machine, f int, byzValues []lattice.Set, wantLiv
 func TestAllCorrectDecideWithinBound(t *testing.T) {
 	for _, tc := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {5, 1}, {4, 0}, {1, 0}} {
 		correct, all := cluster(t, tc.n, tc.f, nil)
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Fixed(1), MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{Delay: faultnet.Fixed(1)}).Run(faultnet.Limits{MaxTime: 10_000})
 		maxT, ok := res.MaxDecisionTime(correctIDs(correct))
 		if !ok {
 			t.Fatalf("n=%d f=%d: not all decided", tc.n, tc.f)
@@ -90,7 +91,7 @@ func TestAllCorrectDecideWithinBound(t *testing.T) {
 
 func TestStabilitySingleDecisionEvent(t *testing.T) {
 	correct, all := cluster(t, 4, 1, nil)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	for _, m := range correct {
 		if got := len(res.Decisions(m.ID())); got != 1 {
 			t.Fatalf("%v decided %d times, want exactly 1 (Stability)", m.ID(), got)
@@ -115,7 +116,7 @@ func TestWaitFreeDespiteMuteByzantines(t *testing.T) {
 			byz = append(byz, &mute{id: ident.ProcessID(tc.n - 1 - i)})
 		}
 		correct, all := cluster(t, tc.n, tc.f, byz)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		maxT, ok := res.MaxDecisionTime(correctIDs(correct))
 		if !ok {
 			t.Fatalf("n=%d f=%d: mute byz blocked decisions", tc.n, tc.f)
@@ -136,11 +137,9 @@ func TestRefinementsBoundedByF(t *testing.T) {
 		for i := 0; i < tc.n; i++ {
 			offsets[ident.ProcessID(i)] = uint64(i * 2)
 		}
-		res := sim.New(sim.Config{
-			Machines: all,
-			Delay:    sim.SenderStagger{Base: sim.Fixed(1), Offset: offsets},
-			MaxTime:  100_000,
-		}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Delay: faultnet.SenderStagger{Base: faultnet.Fixed(1), Offset: offsets},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 		for _, m := range correct {
 			if r := res.Refinements(m.ID()); r > tc.f {
 				t.Fatalf("n=%d f=%d: %v refined %d times > f", tc.n, tc.f, m.ID(), r)
@@ -159,14 +158,14 @@ func TestBufferingUnderDelayedDisclosures(t *testing.T) {
 	// still reach a correct decision once disclosures arrive.
 	n, f := 4, 1
 	correct, all := cluster(t, n, f, nil)
-	res := sim.New(sim.Config{
-		Machines: all,
-		Delay: sim.KindDelay{
-			Base:  sim.Fixed(1),
-			Extra: map[msg.Kind]uint64{msg.KindRBCSend: 15, msg.KindRBCEcho: 15, msg.KindRBCReady: 15},
-		},
-		MaxTime: 100_000,
-	}).Run()
+	slowRBC := faultnet.DelayFunc(func(_, _ ident.ProcessID, m msg.Msg, _ uint64, _ *rand.Rand) uint64 {
+		switch m.Kind() {
+		case msg.KindRBCSend, msg.KindRBCEcho, msg.KindRBCReady:
+			return 16
+		}
+		return 1
+	})
+	res := faultnet.New(all, faultnet.Options{Delay: slowRBC}).Run(faultnet.Limits{MaxTime: 100_000})
 	if _, ok := res.MaxDecisionTime(correctIDs(correct)); !ok {
 		t.Fatal("delayed disclosures blocked decision")
 	}
@@ -195,7 +194,7 @@ func TestUnsafeProposalsNeverPoisonDecisions(t *testing.T) {
 	n, f := 4, 1
 	byz := []proto.Machine{&unsafeFlooder{id: 3, count: 5}}
 	correct, all := cluster(t, n, f, byz)
-	res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	if _, ok := res.MaxDecisionTime(correctIDs(correct)); !ok {
 		t.Fatal("flooder blocked decisions")
 	}
@@ -247,7 +246,7 @@ func TestMessageComplexityPerProcess(t *testing.T) {
 	for _, n := range []int{4, 16} {
 		f := (n - 1) / 3
 		correct, all := cluster(t, n, f, nil)
-		res := sim.New(sim.Config{Machines: all, MaxTime: 10_000}).Run()
+		res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 		if _, ok := res.MaxDecisionTime(correctIDs(correct)); !ok {
 			t.Fatalf("n=%d: no decision", n)
 		}
@@ -319,7 +318,10 @@ func TestStaleAcksDropped(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (uint64, int) {
 		correct, all := cluster(t, 7, 2, nil)
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 7}, Seed: 99, MaxTime: 100_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  99,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 7},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 		maxT, _ := res.MaxDecisionTime(correctIDs(correct))
 		return maxT, res.Metrics.SentTotal()
 	}
@@ -333,7 +335,10 @@ func TestDeterministicReplay(t *testing.T) {
 func TestRandomDelaysManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		correct, all := cluster(t, 7, 2, nil)
-		res := sim.New(sim.Config{Machines: all, Delay: sim.Uniform{Lo: 1, Hi: 9}, Seed: seed, MaxTime: 100_000}).Run()
+		res := faultnet.New(all, faultnet.Options{
+			Seed:  seed,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 9},
+		}).Run(faultnet.Limits{MaxTime: 100_000})
 		if _, ok := res.MaxDecisionTime(correctIDs(correct)); !ok {
 			t.Fatalf("seed %d: no decision", seed)
 		}

@@ -7,11 +7,11 @@ import (
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // Ablations (E12) removes one defense at a time and shows the attack it
@@ -122,7 +122,7 @@ func runSafeAblation(disable bool) int {
 		machines = append(machines, m)
 	}
 	machines = append(machines, &junkAcker{self: 3})
-	sim.New(sim.Config{Machines: machines, MaxTime: 10_000}).Run()
+	faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	run := &check.LARun{
 		Proposals: map[ident.ProcessID]lattice.Set{},
 		Decisions: map[ident.ProcessID]lattice.Set{},
@@ -174,7 +174,7 @@ func runRBCAblation(disable bool) int {
 		}
 	}
 	slowDisclosers := map[ident.ProcessID]bool{3: true, 4: true}
-	delay := sim.DelayFunc(func(from, to ident.ProcessID, m msg.Msg, now uint64, _ *rand.Rand) uint64 {
+	delay := faultnet.DelayFunc(func(from, to ident.ProcessID, m msg.Msg, now uint64, _ *rand.Rand) uint64 {
 		if slowDisclosers[from] {
 			switch m.Kind() {
 			case msg.KindDisclosure, msg.KindRBCSend:
@@ -183,7 +183,7 @@ func runRBCAblation(disable bool) int {
 		}
 		return 1
 	})
-	sim.New(sim.Config{Machines: machines, Delay: delay, MaxTime: 10_000}).Run()
+	faultnet.New(machines, faultnet.Options{Delay: delay}).Run(faultnet.Limits{MaxTime: 10_000})
 	starved := 0
 	for _, m := range correct {
 		if _, ok := m.Decision(); !ok {
@@ -245,7 +245,7 @@ func runGateAblation(disable bool) int {
 	// The racer speaks only for FUTURE rounds (1..5): nothing it says is
 	// legitimate round-0 material.
 	machines = append(machines, &roundRacer{self: 3, firstRound: 1, rounds: 5})
-	sim.New(sim.Config{Machines: machines, MaxTime: 3_000, MaxDeliveries: 2_000_000}).Run()
+	faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 3_000, MaxDeliveries: 2_000_000})
 	leaked := 0
 	for _, m := range correct {
 		seq := m.Decisions()

@@ -5,11 +5,11 @@ import (
 	"bgla/internal/core"
 	"bgla/internal/core/gwts"
 	"bgla/internal/core/sbs"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 // genRun executes a generalized cluster (GWTS or GSbS) with one seed
@@ -57,7 +57,7 @@ func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 			panic("unknown algo " + algo)
 		}
 	}
-	res := sim.New(sim.Config{Machines: machines, Seed: seed, MaxTime: 5_000_000}).Run()
+	res := faultnet.New(machines, faultnet.Options{Seed: seed}).Run(faultnet.Limits{MaxTime: 5_000_000})
 	out := genRun{
 		perProcMsgs: res.Metrics.MaxSentByProc(ids),
 		totalMsgs:   res.Metrics.SentTotal(),

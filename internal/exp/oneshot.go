@@ -9,16 +9,16 @@ import (
 	"bgla/internal/core"
 	"bgla/internal/core/sbs"
 	"bgla/internal/core/wts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
 	"bgla/internal/sig"
-	"bgla/internal/sim"
 )
 
 // oneShotRun is the outcome of one one-shot cluster execution.
 type oneShotRun struct {
-	res        *sim.Result
+	res        *faultnet.Result
 	correctIDs []ident.ProcessID
 	decisions  map[ident.ProcessID]lattice.Set
 	proposals  map[ident.ProcessID]lattice.Set
@@ -74,15 +74,18 @@ func runOneShot(sc scenario) oneShotRun {
 			panic("unknown algo " + sc.algo)
 		}
 	}
-	var delay sim.DelayModel = sim.Fixed(1)
+	var delay faultnet.DelayModel = faultnet.Fixed(1)
 	if sc.stagger {
 		offsets := map[ident.ProcessID]uint64{}
 		for i := 0; i < sc.n; i++ {
 			offsets[ident.ProcessID(i)] = uint64(2 * i)
 		}
-		delay = sim.SenderStagger{Base: sim.Fixed(1), Offset: offsets}
+		delay = faultnet.SenderStagger{Base: faultnet.Fixed(1), Offset: offsets}
 	}
-	out.res = sim.New(sim.Config{Machines: machines, Delay: delay, Seed: sc.seed, MaxTime: 1_000_000}).Run()
+	out.res = faultnet.New(machines, faultnet.Options{
+		Seed:  sc.seed,
+		Delay: delay,
+	}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	for id, get := range decide {
 		if d, ok := get(); ok {
 			out.decisions[id] = d
@@ -126,7 +129,7 @@ func FigureChain() *Table {
 		ms[i] = m
 		machines = append(machines, m)
 	}
-	sim.New(sim.Config{Machines: machines, MaxTime: 10_000}).Run()
+	faultnet.New(machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 10_000})
 	var decisions []lattice.Set
 	for i, m := range ms {
 		d, ok := m.Decision()

@@ -6,11 +6,11 @@ import (
 	"bgla/internal/byz"
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/proto"
 	"bgla/internal/rsm"
-	"bgla/internal/sim"
 )
 
 // RSMWorkload (E10) drives the §7 replicated state machine with
@@ -91,7 +91,10 @@ func RSMWorkload(quick bool) *Table {
 			clients = append(clients, cl)
 			machines = append(machines, cl)
 		}
-		res := sim.New(sim.Config{Machines: machines, Delay: sim.Uniform{Lo: 1, Hi: 3}, Seed: 5, MaxTime: 5_000_000, MaxDeliveries: 5_000_000}).Run()
+		res := faultnet.New(machines, faultnet.Options{
+			Seed:  5,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 3},
+		}).Run(faultnet.Limits{MaxTime: 5_000_000, MaxDeliveries: 5_000_000})
 
 		// Build the history.
 		h := &check.RSMHistory{}

@@ -1,7 +1,18 @@
-// Package faultnet is the deterministic full-stack fault-injection
-// harness: a seed-reproducible virtual-time network that implements the
-// same transport surface as chanet/tcpnet (Start / Inject / Stop), so
-// the entire public stack — bgla.Service and bgla.Store with sharding,
+// Package faultnet is the repository's one virtual-time engine: a
+// seed-reproducible discrete-event network over proto.Machines in the
+// asynchronous model of §3, with authenticated reliable links whose
+// delays are adversarially controllable. Virtual time is measured in
+// message delays — every cross-process hop costs at least one unit,
+// local processing and self-delivery cost zero — so a decision's
+// timestamp is the longest causal message chain behind it, the exact
+// quantity bounded by Theorems 3 and 8.
+//
+// It runs in two modes over the same queue and delivery path. Run
+// drives a closed world (the paper tables, bgla.Solve, protocol tests)
+// on the calling goroutine to quiescence or a limit. Start makes it the
+// deterministic full-stack fault-injection harness: a transport with
+// the same surface as chanet/tcpnet (Start / Inject / Stop), so the
+// entire public stack — bgla.Service and bgla.Store with sharding,
 // batching, checkpoint compaction and state transfer — runs unmodified
 // on top of it while a scripted or randomized fault schedule delays,
 // reorders, duplicates and partitions traffic, crash-restarts replicas
@@ -13,7 +24,8 @@
 // All protocol machines are driven inline by a single dispatcher
 // goroutine from a priority queue ordered by (virtual time, class,
 // content, sequence): machine-to-machine cascades are exactly
-// reproducible from the seed, like internal/sim. The live stack
+// reproducible from the seed, and identical to a closed-world Run of
+// the same machines. The live stack
 // additionally injects from real client goroutines (the batching
 // pipelines); those injections are *staged* and admitted only at
 // admission points — when the queue is empty, or when the next queued
@@ -59,10 +71,10 @@ type Options struct {
 	// Seed drives every random draw (delays, schedule probabilities).
 	// Identical seed + identical interaction sequence = identical run.
 	Seed int64
-	// MaxDelay is the base per-hop delivery delay bound: each
-	// cross-process delivery takes 1 + rng[0,MaxDelay) virtual ticks
-	// (0 or 1 = fixed delay 1, a synchronous network).
-	MaxDelay uint64
+	// Delay is the base per-hop delay model (nil = Fixed(1), a
+	// synchronous network). A started net needs a Fixed or Uniform
+	// model, whose bound sizes its lull gap.
+	Delay DelayModel
 	// Stability is the real-time window an admission point waits for
 	// the staged injection set to stop growing before sequencing it
 	// (default 1ms). It only has to keep one injector's consecutive
@@ -161,6 +173,10 @@ type Net struct {
 	seq      uint64
 	steps    uint64
 	rng      *rand.Rand // machine-emitted traffic
+	gap      uint64     // lull gap, fixed at Start
+	metrics  Metrics
+	closed   bool // a Run: keep the timeline
+	timeline []TimedEvent
 	running  bool
 	stopping bool
 	idle     bool
@@ -170,10 +186,11 @@ type Net struct {
 }
 
 // New builds a network over the machines (Service/Store pass their full
-// machine list, gateway included).
+// machine list, gateway included). It panics on duplicate machine IDs
+// (a programming error in setup, not a runtime condition).
 func New(machines []proto.Machine, opts Options) *Net {
-	if opts.MaxDelay == 0 {
-		opts.MaxDelay = 1
+	if opts.Delay == nil {
+		opts.Delay = Fixed(1)
 	}
 	if opts.Stability == 0 {
 		opts.Stability = time.Millisecond
@@ -185,10 +202,14 @@ func New(machines []proto.Machine, opts Options) *Net {
 		opts:     opts,
 		machines: make(map[ident.ProcessID]proto.Machine, len(machines)),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
+		metrics:  make(Metrics),
 		done:     make(chan struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	for _, m := range machines {
+		if _, dup := n.machines[m.ID()]; dup {
+			panic(fmt.Sprintf("faultnet: duplicate machine id %v", m.ID()))
+		}
 		n.machines[m.ID()] = m
 		n.ids = append(n.ids, m.ID())
 	}
@@ -213,13 +234,25 @@ func (n *Net) Steps() uint64 {
 
 // Start launches the dispatcher; machine Start outputs are sequenced
 // before any delivery, in ascending ID order.
+//
+// The lull gap is the virtual-time jump beyond which the dispatcher
+// treats the queue head as a far-future backlog (partition residue)
+// and gives staged client traffic a chance to be sequenced first. It
+// must cover a full admission quantum plus every short delay a rule
+// can add, so quantized client slots are never mistaken for a backlog;
+// partition windows must be much longer than this to register as
+// lulls.
 func (n *Net) Start() {
+	gap := n.opts.Quantum + delayBound(n.opts.Delay) + 2
+	if s := n.opts.Schedule; s != nil {
+		gap += s.maxShortDelay()
+	}
 	n.mu.Lock()
 	if n.running {
 		n.mu.Unlock()
 		return
 	}
-	n.running = true
+	n.running, n.gap = true, gap
 	n.mu.Unlock()
 	go n.run()
 }
@@ -322,35 +355,12 @@ func (n *Net) Quiesce() {
 	n.mu.Unlock()
 }
 
-// lullGap is the virtual-time jump beyond which the dispatcher treats
-// the queue head as a far-future backlog (partition residue) and gives
-// staged client traffic a chance to be sequenced first. It must cover
-// a full admission quantum plus every short delay a rule can add, so
-// quantized client slots are never mistaken for a backlog; partition
-// windows must be much longer than this to register as lulls.
-func (n *Net) lullGap() uint64 {
-	g := n.opts.Quantum + n.opts.MaxDelay + 2
-	if s := n.opts.Schedule; s != nil {
-		g += s.maxShortDelay()
-	}
-	return g
-}
-
 // run is the dispatcher loop. It owns n.rng, n.q and virtual time; all
 // machine Handle calls happen on this goroutine.
 func (n *Net) run() {
 	defer close(n.done)
 	n.mu.Lock()
-	heap.Init(&n.q)
-	// Sequence machine starts deterministically before anything else.
-	for _, id := range n.ids {
-		m := n.machines[id]
-		n.mu.Unlock()
-		outs := m.Start()
-		proto.DrainEvents(m)
-		n.mu.Lock()
-		n.emit(id, outs)
-	}
+	n.startMachines()
 	for !n.stopping {
 		n.fireActions()
 		if len(n.q) == 0 {
@@ -364,7 +374,7 @@ func (n *Net) run() {
 			n.admit()
 			continue
 		}
-		if next := n.q[0]; next.time > n.now+n.lullGap() {
+		if next := n.q[0]; next.time > n.now+n.gap {
 			// Far-future head: a partition backlog. Sequence any staged
 			// client traffic first; under HoldLulls, wait for it rather
 			// than racing the client to the virtual-time jump.
@@ -377,13 +387,46 @@ func (n *Net) run() {
 				continue
 			}
 		}
-		it := heap.Pop(&n.q).(*item)
-		if it.time > n.now {
-			n.now = it.time
-		}
-		n.deliver(it)
+		n.next()
 	}
 	n.mu.Unlock()
+}
+
+// startMachines sequences every machine's Start outputs, in ascending
+// ID order, before any delivery. Called with mu held; unlocks around
+// Start.
+func (n *Net) startMachines() {
+	heap.Init(&n.q)
+	for _, id := range n.ids {
+		m := n.machines[id]
+		n.mu.Unlock()
+		outs := m.Start()
+		evs := proto.DrainEvents(m)
+		n.mu.Lock()
+		n.emit(id, outs)
+		n.log(evs)
+	}
+}
+
+// next pops the queue head, advances virtual time to it and delivers
+// it. Called with mu held.
+func (n *Net) next() {
+	it := heap.Pop(&n.q).(*item)
+	if it.time > n.now {
+		n.now = it.time
+	}
+	n.deliver(it)
+}
+
+// log stamps a machine's drained events into a Run's timeline (a
+// started net discards them). Called with mu held.
+func (n *Net) log(evs []proto.Event) {
+	if !n.closed {
+		return
+	}
+	for _, e := range evs {
+		n.timeline = append(n.timeline, TimedEvent{Time: n.now, Event: e})
+	}
 }
 
 // admit waits for any Atomically bracket to close and the staged set to
@@ -469,7 +512,7 @@ func (n *Net) pushClient(from, to ident.ProcessID, m msg.Msg, slot uint64, key s
 // lands in nor its neighbors can shift its placement.
 func (n *Net) pushAt(from, to ident.ProcessID, m msg.Msg, sendT uint64, cls uint8, key string) {
 	if _, ok := n.machines[to]; !ok {
-		return // nonexistent destination: dropped, like sim
+		return // nonexistent destination: dropped
 	}
 	rng := n.rng
 	if cls == clientClass {
@@ -481,11 +524,8 @@ func (n *Net) pushAt(from, to ident.ProcessID, m msg.Msg, sendT uint64, cls uint
 	if from == to && cls == machineClass {
 		at = sendT // self-delivery is free
 	} else {
-		base := uint64(1)
-		if n.opts.MaxDelay > 1 {
-			base += uint64(rng.Int63n(int64(n.opts.MaxDelay)))
-		}
-		at = sendT + base
+		at = sendT + max(1, n.opts.Delay.Delay(from, to, m, sendT, rng))
+		n.metrics.record(from, m.Kind())
 		if s := n.opts.Schedule; s != nil {
 			var extraCopies int
 			at, extraCopies = s.apply(from, to, sendT, at, rng)
@@ -538,9 +578,10 @@ func (n *Net) deliver(it *item) {
 		}
 	}
 	outs := m.Handle(it.from, dm)
-	proto.DrainEvents(m)
+	evs := proto.DrainEvents(m)
 	n.mu.Lock()
 	n.emit(it.to, outs)
+	n.log(evs)
 	if s := n.opts.Schedule; s != nil {
 		n.fireTriggers(it)
 	}

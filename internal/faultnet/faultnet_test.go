@@ -39,7 +39,7 @@ func drive(t *testing.T, seed int64, sched *Schedule, values int) (*Trace, []*gw
 	t.Helper()
 	machines, reps := cluster(t, 4, 1, 4)
 	tr := &Trace{}
-	net := New(machines, Options{Seed: seed, MaxDelay: 3, Schedule: sched, Trace: tr})
+	net := New(machines, Options{Seed: seed, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr})
 	net.Start()
 	for k := 0; k < values; k++ {
 		cmd := lattice.Item{Author: testClient, Body: fmt.Sprintf("cmd-%03d", k)}

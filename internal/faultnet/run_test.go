@@ -1,4 +1,4 @@
-package sim
+package faultnet
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bgla/internal/core/wts"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
@@ -55,11 +56,10 @@ func ringMachines(n int) []proto.Machine {
 
 func TestUnitDelayChainAccounting(t *testing.T) {
 	n := 5
-	s := New(Config{Machines: ringMachines(n), Delay: Fixed(1)})
-	res := s.Run()
+	res := New(ringMachines(n), Options{Delay: Fixed(1)}).Run(Limits{})
 	// p0 hears itself at t=0 (self-delivery free); pk at t=k.
 	for k := 0; k < n; k++ {
-		tm, ok := res.DecisionTime(ident.ProcessID(k))
+		tm, ok := res.MaxDecisionTime([]ident.ProcessID{ident.ProcessID(k)})
 		if !ok {
 			t.Fatalf("p%d never fired", k)
 		}
@@ -105,7 +105,7 @@ func TestBroadcastExpansionAndSelfDelivery(t *testing.T) {
 		bs[i] = &broadcaster{id: ident.ProcessID(i)}
 		ms[i] = bs[i]
 	}
-	res := New(Config{Machines: ms, Delay: Fixed(3)}).Run()
+	res := New(ms, Options{Delay: Fixed(3)}).Run(Limits{})
 	for i, b := range bs {
 		if b.got != 1 {
 			t.Fatalf("p%d received %d, want 1", i, b.got)
@@ -119,17 +119,17 @@ func TestBroadcastExpansionAndSelfDelivery(t *testing.T) {
 	if res.Metrics.SentTotal() != n-1 {
 		t.Fatalf("SentTotal = %d, want %d", res.Metrics.SentTotal(), n-1)
 	}
-	if res.Metrics.Delivered() != n {
-		t.Fatalf("Delivered = %d, want %d", res.Metrics.Delivered(), n)
+	if res.Deliveries != n {
+		t.Fatalf("Deliveries = %d, want %d", res.Deliveries, n)
 	}
 	if res.EndTime != 3 {
 		t.Fatalf("EndTime = %d, want 3", res.EndTime)
 	}
 	if res.Metrics.SentByKind(msg.KindJunk) != n-1 {
-		t.Fatalf("SentByKind = %v", res.Metrics.KindCounts())
+		t.Fatalf("SentByKind = %v", res.Metrics)
 	}
-	if res.Metrics.SentByProc(0) != n-1 || res.Metrics.SentByProcKind(0, msg.KindJunk) != n-1 {
-		t.Fatalf("per-proc metrics wrong: %d", res.Metrics.SentByProc(0))
+	if res.Metrics.MaxSentByProc([]ident.ProcessID{0}) != n-1 || res.Metrics[0][msg.KindJunk] != n-1 {
+		t.Fatalf("per-proc metrics wrong: %v", res.Metrics)
 	}
 }
 
@@ -145,11 +145,9 @@ func TestWakeupsDeliverAtScheduledTime(t *testing.T) {
 	}}
 	ms[0] = &funcMachine{id: 0}
 	ms[1] = rec
-	s := New(Config{
-		Machines: ms,
-		Wakeups:  []Wakeup{{At: 5, To: 1, Tag: "b"}, {At: 2, To: 1, Tag: "a"}},
+	res := New(ms, Options{}).Run(Limits{
+		Wakeups: []Wakeup{{At: 5, To: 1, Tag: "b"}, {At: 2, To: 1, Tag: "a"}},
 	})
-	res := s.Run()
 	if res.EndTime != 5 {
 		t.Fatalf("EndTime = %d, want 5", res.EndTime)
 	}
@@ -190,7 +188,7 @@ func TestHorizonLeavesUndelivered(t *testing.T) {
 	delay := DelayFunc(func(from, to ident.ProcessID, m msg.Msg, now uint64, _ *rand.Rand) uint64 {
 		return 100 // both messages past the horizon
 	})
-	res := New(Config{Machines: ms, Delay: delay, MaxTime: 10}).Run()
+	res := New(ms, Options{Delay: delay}).Run(Limits{MaxTime: 10})
 	if res.Undelivered != 2 {
 		t.Fatalf("Undelivered = %d, want 2", res.Undelivered)
 	}
@@ -205,7 +203,7 @@ func TestMessagesToUnknownProcessDropped(t *testing.T) {
 			return []proto.Output{proto.Send(99, msg.Junk{})}
 		}},
 	}
-	res := New(Config{Machines: ms}).Run()
+	res := New(ms, Options{}).Run(Limits{})
 	if res.Metrics.SentTotal() != 0 || res.Deliveries != 0 {
 		t.Fatalf("unexpected traffic: %+v", res.Metrics)
 	}
@@ -213,19 +211,19 @@ func TestMessagesToUnknownProcessDropped(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() *Result {
-		return New(Config{Machines: ringMachines(6), Delay: Uniform{Lo: 1, Hi: 9}, Seed: 42}).Run()
+		return New(ringMachines(6), Options{Seed: 42, Delay: Uniform{Lo: 1, Hi: 9}}).Run(Limits{})
 	}
 	a, b := run(), run()
 	if a.EndTime != b.EndTime || a.Deliveries != b.Deliveries {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
 	}
-	if !reflect.DeepEqual(a.Metrics.KindCounts(), b.Metrics.KindCounts()) {
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Fatal("metrics diverged")
 	}
 	if !reflect.DeepEqual(a.Timeline, b.Timeline) {
 		t.Fatal("timelines diverged")
 	}
-	c := New(Config{Machines: ringMachines(6), Delay: Uniform{Lo: 1, Hi: 9}, Seed: 43}).Run()
+	c := New(ringMachines(6), Options{Seed: 43, Delay: Uniform{Lo: 1, Hi: 9}}).Run(Limits{})
 	if reflect.DeepEqual(a.Timeline, c.Timeline) && a.EndTime == c.EndTime {
 		t.Log("different seed produced identical run (possible but unlikely)")
 	}
@@ -246,24 +244,33 @@ func TestDelayModels(t *testing.T) {
 	if got := (Uniform{Lo: 3, Hi: 3}).Delay(0, 1, msg.Junk{}, 0, rng); got != 3 {
 		t.Fatalf("degenerate Uniform = %d", got)
 	}
-	ld := LinkDelay{Base: Fixed(1), Extra: map[Link]uint64{{From: 1, To: 2}: 10}}
-	if got := ld.Delay(1, 2, msg.Junk{}, 0, rng); got != 11 {
-		t.Fatalf("LinkDelay = %d", got)
-	}
-	if got := ld.Delay(2, 1, msg.Junk{}, 0, rng); got != 1 {
-		t.Fatalf("LinkDelay reverse = %d", got)
-	}
 	st := SenderStagger{Base: Fixed(1), Offset: map[ident.ProcessID]uint64{3: 7}}
 	if got := st.Delay(3, 0, msg.Junk{}, 0, rng); got != 8 {
 		t.Fatalf("SenderStagger = %d", got)
 	}
-	kd := KindDelay{Base: Fixed(1), Extra: map[msg.Kind]uint64{msg.KindJunk: 5}}
-	if got := kd.Delay(0, 1, msg.Junk{}, 0, rng); got != 6 {
-		t.Fatalf("KindDelay = %d", got)
+	df := DelayFunc(func(_, _ ident.ProcessID, m msg.Msg, _ uint64, _ *rand.Rand) uint64 {
+		if m.Kind() == msg.KindJunk {
+			return 6
+		}
+		return 1
+	})
+	if got := df.Delay(0, 1, msg.Junk{}, 0, rng); got != 6 {
+		t.Fatalf("DelayFunc = %d", got)
 	}
-	if got := kd.Delay(0, 1, msg.Wakeup{}, 0, rng); got != 1 {
-		t.Fatalf("KindDelay other kind = %d", got)
+	if got := df.Delay(0, 1, msg.Wakeup{}, 0, rng); got != 1 {
+		t.Fatalf("DelayFunc other kind = %d", got)
 	}
+	// A started net sizes its lull gap from the model's bound, so it
+	// refuses a model without one.
+	if delayBound(Fixed(2)) != 2 || delayBound(Uniform{Lo: 1, Hi: 3}) != 3 {
+		t.Fatal("delayBound")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start accepted an unbounded delay model")
+		}
+	}()
+	New(ringMachines(2), Options{Delay: df}).Start()
 }
 
 func TestZeroDelayClampedToOne(t *testing.T) {
@@ -273,37 +280,76 @@ func TestZeroDelayClampedToOne(t *testing.T) {
 		}},
 		&funcMachine{id: 1},
 	}
-	res := New(Config{Machines: ms, Delay: Fixed(0)}).Run()
+	res := New(ms, Options{Delay: Fixed(0)}).Run(Limits{})
 	if res.EndTime != 1 {
 		t.Fatalf("EndTime = %d, want 1 (cross-process hop must cost >= 1)", res.EndTime)
 	}
 }
 
+// TestDuplicateIDPanics: a second machine with the same ID would
+// otherwise replace the first while the broadcast fan-out listed the ID
+// twice, delivering every broadcast to it twice.
 func TestDuplicateIDPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate IDs")
 		}
 	}()
-	New(Config{Machines: []proto.Machine{&funcMachine{id: 0}, &funcMachine{id: 0}}})
+	New([]proto.Machine{&funcMachine{id: 0}, &funcMachine{id: 0}}, Options{})
 }
 
 func TestMetricsHelpers(t *testing.T) {
-	m := newMetrics(nil)
-	m.recordSend(0, msg.KindAck)
-	m.recordSend(0, msg.KindAck)
-	m.recordSend(1, msg.KindNack)
-	if m.SentByProcs([]ident.ProcessID{0, 1}) != 3 {
-		t.Fatal("SentByProcs")
+	m := Metrics{}
+	m.record(0, msg.KindAck)
+	m.record(0, msg.KindAck)
+	m.record(1, msg.KindNack)
+	if m.SentTotal() != 3 {
+		t.Fatal("SentTotal")
 	}
-	if m.SentByProcs([]ident.ProcessID{1}) != 1 {
-		t.Fatal("SentByProcs subset")
+	if m.SentByKind(msg.KindAck) != 2 || m.SentByKind(msg.KindNack) != 1 {
+		t.Fatal("SentByKind")
 	}
 	if m.MaxSentByProc([]ident.ProcessID{0, 1}) != 2 {
 		t.Fatal("MaxSentByProc")
 	}
-	kinds := m.Kinds()
-	if len(kinds) != 2 || kinds[0] != msg.KindAck {
-		t.Fatalf("Kinds = %v", kinds)
+	if m.MaxSentByProc([]ident.ProcessID{1}) != 1 {
+		t.Fatal("MaxSentByProc subset")
+	}
+}
+
+// TestRunMatchesLiveDispatch: a closed-world Run and a started net are
+// one engine. The same self-starting WTS cluster, seed, delay model and
+// fault rules must deliver the same messages at the same virtual times
+// in the same order, whichever mode drives it.
+func TestRunMatchesLiveDispatch(t *testing.T) {
+	setup := func() ([]proto.Machine, Options) {
+		var ms []proto.Machine
+		for i := 0; i < 4; i++ {
+			id := ident.ProcessID(i)
+			m, err := wts.New(wts.Config{Self: id, N: 4, F: 1, Proposal: lattice.FromStrings(id, "v")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
+		}
+		sched := &Schedule{Ops: []Op{NewReorder(0, 40, 3), NewDup(0, 60, 2)}}
+		return ms, Options{Seed: 5, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: &Trace{}}
+	}
+	ms, opts := setup()
+	live := New(ms, opts)
+	live.Start()
+	live.Quiesce()
+	live.Stop()
+
+	ms, closed := setup()
+	res := New(ms, closed).Run(Limits{})
+	if d := Diff(opts.Trace, closed.Trace); d != "" {
+		t.Fatalf("Run diverged from the live dispatcher: %s", d)
+	}
+	if opts.Trace.Lines() != res.Deliveries || res.Deliveries == 0 {
+		t.Fatalf("traced %d deliveries, Run made %d", opts.Trace.Lines(), res.Deliveries)
+	}
+	if _, ok := res.MaxDecisionTime(ident.Range(4)); !ok {
+		t.Fatal("not every replica decided")
 	}
 }

@@ -1,4 +1,4 @@
-package faultnet
+package faultnet_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"bgla/internal/byz"
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
@@ -67,9 +68,9 @@ func (tc *transcoder) transcode(from, to ident.ProcessID, m msg.Msg) msg.Msg {
 // driveCoded runs one active-Byzantine GWTS scenario (3 correct
 // replicas + an RBC equivocator, reordering and duplication faults)
 // with an optional wire-codec shim, and returns the delivery trace.
-func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.ProcessID, msg.Msg) msg.Msg) (*Trace, []*gwts.Machine) {
+func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.ProcessID, msg.Msg) msg.Msg) (*faultnet.Trace, []*gwts.Machine) {
 	t.Helper()
-	machines, reps := cluster(t, 4, 1, 3)
+	machines, reps := faultnet.Cluster(t, 4, 1, 3)
 	machines = append(machines, &byz.Equivocator{
 		Self:  3,
 		Tag:   "gwts/disc/0",
@@ -78,16 +79,16 @@ func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.Process
 		ValA:  lattice.FromStrings(3, "split-A"),
 		ValB:  lattice.FromStrings(3, "split-B"),
 	})
-	sched := &Schedule{Ops: []Op{
-		NewReorder(0, 300, 3),
-		NewDup(50, 200, 2),
+	sched := &faultnet.Schedule{Ops: []faultnet.Op{
+		faultnet.NewReorder(0, 300, 3),
+		faultnet.NewDup(50, 200, 2),
 	}}
-	tr := &Trace{}
-	net := New(machines, Options{Seed: seed, MaxDelay: 3, Schedule: sched, Trace: tr, Transcode: tc})
+	tr := &faultnet.Trace{}
+	net := faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr, Transcode: tc})
 	net.Start()
 	for k := 0; k < 6; k++ {
-		cmd := lattice.Item{Author: testClient, Body: fmt.Sprintf("mix-%03d", k)}
-		net.Inject(testClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
+		cmd := lattice.Item{Author: faultnet.TestClient, Body: fmt.Sprintf("mix-%03d", k)}
+		net.Inject(faultnet.TestClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
 		net.Quiesce()
 	}
 	net.Quiesce()
@@ -108,7 +109,7 @@ func TestTranscodedClusterByteStable(t *testing.T) {
 	tc := newTranscoder(t)
 	coded, repsCoded := driveCoded(t, seed, tc.transcode)
 
-	if d := Diff(base, coded); d != "" {
+	if d := faultnet.Diff(base, coded); d != "" {
 		t.Fatalf("transcoded run diverged from in-memory run: %s", d)
 	}
 	if tc.deltas == 0 || tc.deltas == tc.frames {

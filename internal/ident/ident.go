@@ -1,7 +1,7 @@
 // Package ident defines process identities shared by every layer of the
 // repository: the lattice values are tagged by their disclosing process,
-// protocol messages carry sender/destination identities, and the
-// simulator routes events between identities.
+// protocol messages carry sender/destination identities, and every
+// transport routes messages between identities.
 package ident
 
 import (

@@ -3,7 +3,7 @@
 // RSM replicas and clients, Byzantine adversaries, the crash baseline)
 // is a deterministic state machine that consumes delivered messages and
 // emits outputs. The same machine therefore runs unchanged under the
-// discrete-event simulator (internal/sim), the live goroutine transport
+// virtual-time engine (internal/faultnet), the live goroutine transport
 // (internal/chanet) and TCP (internal/tcpnet).
 package proto
 
@@ -15,7 +15,7 @@ import (
 
 // Broadcast is the Output destination meaning "send to every process
 // (including the sender itself)". Self-deliveries are free of delay in
-// the simulator, matching the message-delay accounting of the paper.
+// virtual time, matching the message-delay accounting of the paper.
 const Broadcast ident.ProcessID = -2
 
 // Output is one message emission: a destination and a message.

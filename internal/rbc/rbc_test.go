@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // host wraps a Peer into a proto.Machine for simulator tests. If bcast
@@ -41,9 +41,9 @@ func (h *host) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 }
 
 // run executes machines under unit delay and returns the result.
-func run(t *testing.T, machines []proto.Machine, seed int64) *sim.Result {
+func run(t *testing.T, machines []proto.Machine, seed int64) *faultnet.Result {
 	t.Helper()
-	return sim.New(sim.Config{Machines: machines, Delay: sim.Fixed(1), Seed: seed, MaxTime: 1000}).Run()
+	return faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Fixed(1)}).Run(faultnet.Limits{MaxTime: 1000})
 }
 
 func TestAllCorrectDeliverSamePayload(t *testing.T) {

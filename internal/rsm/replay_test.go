@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"bgla/internal/sim"
+	"bgla/internal/faultnet"
 )
 
 // TestDeterministicReplayFullRSM re-runs an identical RSM workload and
@@ -25,11 +25,10 @@ func TestDeterministicReplayFullRSM(t *testing.T) {
 			{Self: 101, N: n, F: f, Replicas: replicaIDs(n), Ops: ops},
 		}
 		w := buildWorld(t, n, f, cfgs, nil)
-		res := sim.New(sim.Config{
-			Machines: w.machines,
-			Delay:    sim.Uniform{Lo: 1, Hi: 5},
-			Seed:     31, MaxTime: 5_000_000,
-		}).Run()
+		res := faultnet.New(w.machines, faultnet.Options{
+			Seed:  31,
+			Delay: faultnet.Uniform{Lo: 1, Hi: 5},
+		}).Run(faultnet.Limits{MaxTime: 5_000_000})
 		for _, c := range w.clients {
 			results = append(results, c.Results())
 		}
@@ -62,7 +61,7 @@ func TestByzantineClientGarbageCommands(t *testing.T) {
 		{Kind: OpUpdate, Body: "||||"},
 	}}
 	w := buildWorld(t, n, f, []ClientConfig{honest, hostile}, nil)
-	res := sim.New(sim.Config{Machines: w.machines, MaxTime: 5_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 5_000_000})
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}

@@ -7,11 +7,11 @@ import (
 
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
-	"bgla/internal/sim"
 )
 
 // world bundles an assembled RSM simulation.
@@ -55,7 +55,7 @@ func buildWorld(t *testing.T, n, f int, clientCfgs []ClientConfig, byz []proto.M
 }
 
 // history extracts the completed-op history from a run's timeline.
-func history(res *sim.Result, w *world) *check.RSMHistory {
+func history(res *faultnet.Result, w *world) *check.RSMHistory {
 	type open struct {
 		start uint64
 		kind  string
@@ -99,7 +99,7 @@ func TestSingleClientUpdateReadSequence(t *testing.T) {
 		{Kind: OpRead},
 	}
 	w := buildWorld(t, n, f, []ClientConfig{{Self: 100, N: n, F: f, Replicas: replicaIDs(n), Ops: ops}}, nil)
-	res := sim.New(sim.Config{Machines: w.machines, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d queued", res.Undelivered)
 	}
@@ -137,7 +137,10 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	}
 	w := buildWorld(t, n, f, []ClientConfig{mk(100, "a"), mk(101, "b"), mk(102, "c")}, nil)
-	res := sim.New(sim.Config{Machines: w.machines, Delay: sim.Uniform{Lo: 1, Hi: 4}, Seed: 3, MaxTime: 5_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{
+		Seed:  3,
+		Delay: faultnet.Uniform{Lo: 1, Hi: 4},
+	}).Run(faultnet.Limits{MaxTime: 5_000_000})
 	for _, c := range w.clients {
 		if !c.Done() {
 			t.Fatalf("client %v incomplete (%d results)", c.ID(), len(c.Results()))
@@ -157,14 +160,13 @@ func TestPacedClientsInterleaved(t *testing.T) {
 		}},
 	}
 	w := buildWorld(t, n, f, cfgs, nil)
-	res := sim.New(sim.Config{
-		Machines: w.machines,
-		Wakeups: []sim.Wakeup{
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{
+		MaxTime: 1_000_000,
+		Wakeups: []faultnet.Wakeup{
 			{At: 1, To: 100, Tag: "op"}, {At: 5, To: 101, Tag: "op"},
 			{At: 60, To: 101, Tag: "op"}, {At: 80, To: 100, Tag: "op"},
 		},
-		MaxTime: 1_000_000,
-	}).Run()
+	})
 	for _, c := range w.clients {
 		if !c.Done() {
 			t.Fatalf("client %v incomplete", c.ID())
@@ -187,7 +189,7 @@ func TestLivenessWithMuteByzReplica(t *testing.T) {
 	ops := []Op{{Kind: OpUpdate, Body: "v"}, {Kind: OpRead}}
 	cfg := ClientConfig{Self: 100, N: n, F: f, Replicas: replicaIDs(n), Ops: ops}
 	w := buildWorld(t, n, f, []ClientConfig{cfg}, []proto.Machine{&muteReplica{id: 3}})
-	res := sim.New(sim.Config{Machines: w.machines, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if !w.clients[0].Done() {
 		t.Fatal("mute replica blocked the client")
 	}
@@ -227,7 +229,7 @@ func TestFakeDecideNotificationsFiltered(t *testing.T) {
 	cfg := ClientConfig{Self: 100, N: n, F: f, Replicas: replicaIDs(n), Ops: ops}
 	fd := &fakeDecider{id: 3, clients: []ident.ProcessID{100}}
 	w := buildWorld(t, n, f, []ClientConfig{cfg}, []proto.Machine{fd})
-	res := sim.New(sim.Config{Machines: w.machines, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	if !w.clients[0].Done() {
 		t.Fatal("client blocked")
 	}
@@ -245,7 +247,7 @@ func TestByzClientUnderSubmitsStillWorks(t *testing.T) {
 	lazy := ClientConfig{Self: 100, N: n, F: f, Replicas: replicaIDs(n), SubmitTo: replicaIDs(n)[:1], Ops: []Op{{Kind: OpUpdate, Body: "lazy"}}}
 	honest := ClientConfig{Self: 101, N: n, F: f, Replicas: replicaIDs(n), Ops: []Op{{Kind: OpUpdate, Body: "ok"}, {Kind: OpRead}}}
 	w := buildWorld(t, n, f, []ClientConfig{lazy, honest}, nil)
-	res := sim.New(sim.Config{Machines: w.machines, MaxTime: 1_000_000}).Run()
+	res := faultnet.New(w.machines, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
 	// The lazy client still completes: it hears decides from all
 	// replicas even though it submitted to one.
 	if !w.clients[0].Done() {

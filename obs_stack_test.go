@@ -36,7 +36,7 @@ func runTracedScenario(t *testing.T, seed int64) *obs.Tracer {
 		},
 		Hooks: &ServiceHooks{
 			NewTransport: func(machines []proto.Machine, opts TransportOptions) Transport {
-				net = faultnet.New(machines, faultnet.Options{Seed: seed, MaxDelay: 3})
+				net = faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}})
 				return net
 			},
 		},
