@@ -110,8 +110,9 @@ type Config struct {
 	// Mute marks processes to run as silent (crash-like Byzantine)
 	// processes; at most F of them.
 	Mute []int
-	// Seed drives the scheduler; DelayLo/DelayHi set the random delay
-	// range (defaults: unit delays).
+	// Seed drives the scheduler. Every cross-process delay is drawn
+	// from [max(1, DelayLo), DelayHi]: equal bounds give a constant
+	// delay, and (0, 0), the default, gives unit delays.
 	Seed             int64
 	DelayLo, DelayHi uint64
 	// MaxVirtualTime bounds the run (default 100000).
@@ -147,6 +148,13 @@ func Solve(cfg Config) (*Report, error) {
 	}
 	if cfg.MaxVirtualTime == 0 {
 		cfg.MaxVirtualTime = 100_000
+	}
+	var delay faultnet.DelayModel = faultnet.Fixed(1)
+	switch lo := max(1, cfg.DelayLo); {
+	case cfg.DelayHi >= lo:
+		delay = faultnet.Uniform{Lo: lo, Hi: cfg.DelayHi}
+	case cfg.DelayLo > cfg.DelayHi:
+		return nil, fmt.Errorf("bgla: DelayLo %d exceeds DelayHi %d", cfg.DelayLo, cfg.DelayHi)
 	}
 	muted := ident.NewSet()
 	for _, m := range cfg.Mute {
@@ -186,14 +194,7 @@ func Solve(cfg Config) (*Report, error) {
 			decide[i] = m.Decision
 		}
 	}
-	var delay faultnet.DelayModel = faultnet.Fixed(1)
-	if cfg.DelayHi > cfg.DelayLo {
-		delay = faultnet.Uniform{Lo: maxU(1, cfg.DelayLo), Hi: cfg.DelayHi}
-	}
-	res := faultnet.New(machines, faultnet.Options{
-		Seed:  cfg.Seed,
-		Delay: delay,
-	}).Run(faultnet.Limits{MaxTime: cfg.MaxVirtualTime})
+	res := faultnet.New(machines, faultnet.Options{Seed: cfg.Seed, Delay: delay}).Run(faultnet.Limits{MaxTime: cfg.MaxVirtualTime})
 
 	rep := &Report{Decisions: map[int][]Item{}}
 	run := &check.LARun{
@@ -212,13 +213,6 @@ func Solve(cfg Config) (*Report, error) {
 	rep.Messages = res.Metrics.SentTotal()
 	rep.PerProcessMax = res.Metrics.MaxSentByProc(correctIDs)
 	return rep, nil
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type muteMachine struct {

@@ -43,6 +43,29 @@ func TestSolveSbSBasic(t *testing.T) {
 	}
 }
 
+// TestSolveConstantDelay: a constant delay only rescales the schedule,
+// so the decision latency is exactly that multiple of the unit-delay
+// latency; inverted bounds are a config error.
+func TestSolveConstantDelay(t *testing.T) {
+	props := map[int][]string{0: {"a"}, 1: {"b"}, 2: {"c"}, 3: {"d"}}
+	for _, algo := range []Algorithm{WTS, SbS} {
+		unit, err := Solve(Config{N: 4, F: 1, Algorithm: algo, Proposals: props})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := Solve(Config{N: 4, F: 1, Algorithm: algo, Proposals: props, DelayLo: 3, DelayHi: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unit.MaxDelays == 0 || slow.MaxDelays != 3*unit.MaxDelays {
+			t.Fatalf("%v: MaxDelays %d under delay 3, want 3 × %d", algo, slow.MaxDelays, unit.MaxDelays)
+		}
+	}
+	if _, err := Solve(Config{N: 4, F: 1, Algorithm: WTS, DelayLo: 5, DelayHi: 2}); err == nil {
+		t.Fatal("DelayLo > DelayHi accepted")
+	}
+}
+
 func TestSolveWithMutes(t *testing.T) {
 	rep, err := Solve(Config{
 		N: 4, F: 1, Algorithm: WTS,

@@ -26,8 +26,8 @@ func main() {
 	mute := flag.Int("mute", 0, "run this many processes as silent Byzantine")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	rounds := flag.Int("rounds", 1, "minimum rounds (generalized algorithms)")
-	delayLo := flag.Uint64("delay-lo", 0, "random delay lower bound (0 = unit delays)")
-	delayHi := flag.Uint64("delay-hi", 0, "random delay upper bound")
+	delayLo := flag.Uint64("delay-lo", 0, "delay lower bound (both bounds 0 = unit delays)")
+	delayHi := flag.Uint64("delay-hi", 0, "delay upper bound (equal bounds = constant delay)")
 	flag.Parse()
 
 	algos := map[string]bgla.Algorithm{
