@@ -165,24 +165,24 @@ type Net struct {
 	machines map[ident.ProcessID]proto.Machine
 	ids      []ident.ProcessID
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	q        queue
-	stage    []staged
-	now      uint64
-	seq      uint64
-	steps    uint64
-	rng      *rand.Rand // machine-emitted traffic
-	gap      uint64     // lull gap, fixed at Start
-	metrics  Metrics
-	closed   bool // a Run: keep the timeline
-	timeline []TimedEvent
-	running  bool
-	stopping bool
-	idle     bool
-	holds    int
-	txns     int
-	done     chan struct{}
+	mu          sync.Mutex
+	cond        *sync.Cond
+	q           queue
+	stage       []staged
+	now         uint64
+	seq         uint64
+	steps       uint64
+	rng         *rand.Rand // machine-emitted traffic
+	gap         uint64     // lull gap, fixed at Start
+	metrics     Metrics
+	closedWorld bool // a Run: keep the timeline
+	timeline    []TimedEvent
+	running     bool
+	stopping    bool
+	idle        bool
+	holds       int
+	txns        int
+	done        chan struct{}
 }
 
 // New builds a network over the machines (Service/Store pass their full
@@ -421,7 +421,7 @@ func (n *Net) next() {
 // log stamps a machine's drained events into a Run's timeline (a
 // started net discards them). Called with mu held.
 func (n *Net) log(evs []proto.Event) {
-	if !n.closed {
+	if !n.closedWorld {
 		return
 	}
 	for _, e := range evs {

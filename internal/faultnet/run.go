@@ -158,7 +158,7 @@ func (n *Net) Run(l Limits) *Result {
 	if n.running {
 		panic("faultnet: Run on a net that already runs")
 	}
-	n.running, n.closed = true, true
+	n.running, n.closedWorld = true, true
 	defer close(n.done)
 	for _, w := range l.Wakeups {
 		n.pushAt(w.To, w.To, msg.Wakeup{Tag: w.Tag}, w.At, machineClass, "")
