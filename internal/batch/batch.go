@@ -15,12 +15,13 @@
 //
 // Flow control is explicit: the request queue is bounded (QueueDepth),
 // at most MaxInFlight proposals are outstanding, and every entry point
-// honours context cancellation. The coalescing window is group-commit
-// style — a batch launches immediately while flight slots are free and
-// only lingers (up to MaxDelay, or until MaxBatch operations gather)
-// when all slots are busy, so lightly-loaded callers pay no added
-// latency and saturated pipelines amortize agreement rounds across
-// many operations.
+// honours context cancellation. A batch launches as soon as a flight
+// slot is free, and while every slot is busy it keeps absorbing queued
+// operations (up to MaxBatch), with no timer involved, so idle
+// callers pay no added latency and saturated pipelines amortize
+// agreement rounds across many operations. The replicas batch again
+// on their side (GWTS folds every value received during a round into
+// the next proposal).
 package batch
 
 import (
@@ -70,19 +71,6 @@ type Config struct {
 	// coalescing entirely — the seed one-at-a-time behaviour when
 	// MaxInFlight is also 1).
 	MaxBatch int
-	// MaxDelay bounds how long a forming batch lingers for co-batched
-	// operations once every flight slot is busy (default 200µs).
-	MaxDelay time.Duration
-	// MinBatch is the group-commit floor: a forming batch lingers (up
-	// to MaxDelay) until it has this many operations even while flight
-	// slots are free. An agreement round costs O(window) work whatever
-	// the batch carries (O(history) without checkpoint compaction —
-	// see internal/compact), so under saturation a tiny "leading edge"
-	// flight launched into a free slot wastes a round that a floor
-	// would have filled. Raise toward MaxBatch on throughput-saturated
-	// deployments; the default 1 adds zero latency when idle (values
-	// above MaxBatch are clamped to it).
-	MinBatch int
 	// MaxInFlight bounds concurrently outstanding proposals (default 8).
 	MaxInFlight int
 	// QueueDepth bounds queued-but-unlaunched operations; enqueueing
@@ -128,18 +116,6 @@ func (c *Config) applyDefaults() error {
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("batch: MaxBatch %d < 1", c.MaxBatch)
 	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 200 * time.Microsecond
-	}
-	if c.MinBatch == 0 {
-		c.MinBatch = 1
-	}
-	if c.MinBatch < 1 {
-		return fmt.Errorf("batch: MinBatch %d < 1", c.MinBatch)
-	}
-	if c.MinBatch > c.MaxBatch {
-		c.MinBatch = c.MaxBatch
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 8
 	}
@@ -151,6 +127,9 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 30 * time.Second
+	}
+	if c.OpTimeout < 0 {
+		return fmt.Errorf("batch: negative OpTimeout %v", c.OpTimeout)
 	}
 	if c.SubmitTo == nil {
 		quota := core.ReadQuorum(c.F)
@@ -389,7 +368,9 @@ func (p *Pipeline) Deliver(from ident.ProcessID, m msg.Msg) {
 	}
 }
 
-// collect coalesces queued requests into batches and launches flights.
+// collect coalesces queued requests into batches and launches flights:
+// a batch keeps absorbing queued requests (up to MaxBatch) for as long
+// as every flight slot is busy, and launches the moment one frees.
 func (p *Pipeline) collect() {
 	defer p.wg.Done()
 	for {
@@ -400,67 +381,19 @@ func (p *Pipeline) collect() {
 			return
 		}
 		batch := p.drainInto([]*request{first})
-		acquired := false
-		// Group-commit window: linger for co-batched operations while
-		// the batch is below the MinBatch floor, and past the floor only
-		// while every flight slot is busy.
-		if len(batch) < p.cfg.MaxBatch && p.cfg.MaxDelay > 0 &&
-			(len(batch) < p.cfg.MinBatch || len(p.tokens) == cap(p.tokens)) {
-			timer := time.NewTimer(p.cfg.MaxDelay)
-		window:
-			for len(batch) < p.cfg.MaxBatch {
-				if len(batch) < p.cfg.MinBatch {
-					// Below the floor: grow without competing for a
-					// slot, so a free slot cannot trigger an eager
-					// launch of a wastefully small proposal.
-					select {
-					case r := <-p.reqs:
-						batch = append(batch, r)
-					case <-timer.C:
-						break window
-					case <-p.closed:
-						timer.Stop()
-						completeReqs(batch, ErrClosed)
-						return
-					}
-					continue
-				}
-				select {
-				case r := <-p.reqs:
-					batch = append(batch, r)
-				case p.tokens <- struct{}{}:
-					acquired = true
-					break window
-				case <-timer.C:
-					break window
-				case <-p.closed:
-					timer.Stop()
-					completeReqs(batch, ErrClosed)
-					return
-				}
+		for acquired := false; !acquired; {
+			in := p.reqs
+			if len(batch) >= p.cfg.MaxBatch {
+				in = nil
 			}
-			timer.Stop()
-		}
-		// Acquire a flight slot, still absorbing requests while blocked.
-		for !acquired {
-			if len(batch) < p.cfg.MaxBatch {
-				select {
-				case r := <-p.reqs:
-					batch = append(batch, r)
-				case p.tokens <- struct{}{}:
-					acquired = true
-				case <-p.closed:
-					completeReqs(batch, ErrClosed)
-					return
-				}
-			} else {
-				select {
-				case p.tokens <- struct{}{}:
-					acquired = true
-				case <-p.closed:
-					completeReqs(batch, ErrClosed)
-					return
-				}
+			select {
+			case r := <-in:
+				batch = append(batch, r)
+			case p.tokens <- struct{}{}:
+				acquired = true
+			case <-p.closed:
+				completeReqs(batch, ErrClosed)
+				return
 			}
 		}
 		p.launch(p.drainInto(batch))

@@ -129,7 +129,7 @@ func TestPipelineToleratesMuteQuorumMembers(t *testing.T) {
 func TestPipelineCoalescesUnderSaturation(t *testing.T) {
 	cluster := newFakeCluster(4, 1)
 	cluster.delay = 2 * time.Millisecond
-	p := pipeOver(t, cluster, Config{MaxBatch: 16, MaxInFlight: 1, MaxDelay: 5 * time.Millisecond})
+	p := pipeOver(t, cluster, Config{MaxBatch: 16, MaxInFlight: 1})
 	var wg sync.WaitGroup
 	const ops = 64
 	errs := make(chan error, ops)
@@ -161,7 +161,7 @@ func TestPipelineCoalescesUnderSaturation(t *testing.T) {
 
 func TestPipelineConcurrentReadsShareNop(t *testing.T) {
 	cluster := newFakeCluster(4, 1)
-	p := pipeOver(t, cluster, Config{MaxBatch: 32, MaxInFlight: 1, MaxDelay: 5 * time.Millisecond})
+	p := pipeOver(t, cluster, Config{MaxBatch: 32, MaxInFlight: 1})
 	if err := p.Update(context.Background(), item(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -318,79 +318,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: ident.Range(4)}, nil); err == nil {
 		t.Fatal("must reject nil sender")
 	}
-}
-
-// TestPipelineMinBatchGroupCommit: with a MinBatch floor, a burst of
-// operations arriving while every flight slot is FREE still coalesces
-// into one full proposal instead of an eager tiny leading-edge flight.
-func TestPipelineMinBatchGroupCommit(t *testing.T) {
-	cluster := newFakeCluster(4, 1)
-	p := pipeOver(t, cluster, Config{
-		MaxBatch: 8, MinBatch: 8,
-		MaxDelay:    200 * time.Millisecond,
-		MaxInFlight: 4,
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := p.Update(context.Background(), lattice.Item{Author: 1000, Body: fmt.Sprintf("c%d", i)}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := p.Stats()
-	if st.Flights != 1 || st.MaxBatchOps != 8 {
-		t.Fatalf("floor ignored: %d flights, max batch %d (want 1 flight of 8)", st.Flights, st.MaxBatchOps)
-	}
-}
-
-// TestPipelineMinBatchWindowExpires: a batch below the floor must still
-// launch once MaxDelay passes — the floor trades bounded latency for
-// fuller proposals, never liveness.
-func TestPipelineMinBatchWindowExpires(t *testing.T) {
-	cluster := newFakeCluster(4, 1)
-	p := pipeOver(t, cluster, Config{
-		MaxBatch: 64, MinBatch: 64,
-		MaxDelay:    5 * time.Millisecond,
-		MaxInFlight: 4,
-	})
-	start := time.Now()
-	if err := p.Update(context.Background(), lattice.Item{Author: 1000, Body: "lone"}); err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited < 4*time.Millisecond {
-		t.Fatalf("lone op completed after %v — the floor window never opened", waited)
-	}
-	st := p.Stats()
-	if st.Flights != 1 || st.Ops != 1 {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-}
-
-// TestPipelineMinBatchClamped: MinBatch above MaxBatch clamps rather
-// than deadlocking a batch that can never reach the floor.
-func TestPipelineMinBatchClamped(t *testing.T) {
-	cluster := newFakeCluster(4, 1)
-	p := pipeOver(t, cluster, Config{
-		MaxBatch: 2, MinBatch: 99,
-		MaxDelay:    time.Minute, // would hang if the floor were not clamped
-		MaxInFlight: 1,
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := p.Update(context.Background(), lattice.Item{Author: 1000, Body: fmt.Sprintf("c%d", i)}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if st := p.Stats(); st.Ops != 2 {
-		t.Fatalf("ops = %d, want 2", st.Ops)
+	if _, err := New(Config{Replicas: ident.Range(4), OpTimeout: -1}, silent{}); err == nil {
+		t.Fatal("must reject negative OpTimeout")
 	}
 }

@@ -12,10 +12,9 @@ import (
 // later restart one process without tearing the transport down: while
 // down the wrapper swallows traffic (indistinguishable from a mute
 // Byzantine replica), and Swap installs a fresh machine whose Start
-// outputs are emitted on the next delivery. Restart/rejoin tests and
-// the E18 experiment use it to show a replica that lost all state
-// catching up through checkpoint state transfer instead of full
-// replay.
+// outputs are emitted on the next delivery. Restart/rejoin tests use
+// it to show a replica that lost all state catching up through
+// checkpoint state transfer instead of full replay.
 //
 // Handle is driven by the transport's single machine goroutine; Swap
 // and Crash may be called from any goroutine (a mutex serializes them

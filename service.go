@@ -65,28 +65,21 @@ type ServiceConfig struct {
 	Jitter time.Duration
 	// Seed drives the jitter RNG.
 	Seed int64
-	// OpTimeout bounds each Update/Read call (default 30s).
+	// OpTimeout bounds each Update/Read call (default 30s; negative is
+	// rejected).
 	OpTimeout time.Duration
 
 	// Batching pipeline knobs (zero = defaults; see internal/batch).
+	// A batch launches as soon as a flight slot is free and grows only
+	// while every slot is busy; the queue in front of it holds 4096
+	// operations, beyond which callers block (backpressure).
 	//
 	// MaxBatch bounds operations coalesced into one lattice proposal
 	// (default 64; 1 with MaxInFlight 1 restores the seed's strictly
 	// one-at-a-time client).
 	MaxBatch int
-	// MaxBatchDelay bounds how long a forming batch lingers for more
-	// operations once every flight slot is busy (default 200µs).
-	MaxBatchDelay time.Duration
-	// MinBatch is the group-commit floor: a forming batch waits (up to
-	// MaxBatchDelay) for at least this many operations even while
-	// flight slots are free (default 1 — no waiting when idle; see
-	// internal/batch).
-	MinBatch int
 	// MaxInFlight bounds pipelined proposals (default 8).
 	MaxInFlight int
-	// QueueDepth bounds queued operations; beyond it callers block —
-	// backpressure (default 4096).
-	QueueDepth int
 
 	// CheckpointEvery enables checkpointed history compaction
 	// (internal/compact, DESIGN.md §6): once a replica's decided window
@@ -117,12 +110,10 @@ type ServiceConfig struct {
 	DataDir string
 	// SyncMode selects the WAL fsync policy: "record" (fsync per
 	// decided record), "group" or "" (group commit — the default) or
-	// "off" (the OS page cache decides). See wal.SyncPolicy.
+	// "off" (the OS page cache decides). See wal.SyncPolicy. Group
+	// commit syncs every 32 records and segments rotate at 1 MiB (the
+	// wal.Options defaults).
 	SyncMode string
-	// GroupSync is the group-commit interval in records (0 = 32).
-	GroupSync int
-	// SegmentBytes rotates WAL segments at this size (0 = 1 MiB).
-	SegmentBytes int
 
 	// Obs wires the cluster's instruments and traces into a shared
 	// observability surface (zero value = private registry, wall clock,

@@ -149,6 +149,10 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := NewService(ServiceConfig{Replicas: 4, Faulty: 1, MuteReplicas: []int{1, 2}}); err == nil {
 		t.Fatal("must reject too many mutes")
 	}
+	if svc, err := NewService(ServiceConfig{Replicas: 4, Faulty: 1, OpTimeout: -1}); err == nil {
+		svc.Close()
+		t.Fatal("must reject a negative OpTimeout (every operation would fail at once)")
+	}
 }
 
 func TestServiceUpdateBodiesDeduplicated(t *testing.T) {

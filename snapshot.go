@@ -20,26 +20,18 @@ import (
 // lattice, with a per-component sequence number as the write stamp, and
 // Scan is an RSM read folded through the LWW map view.
 //
-// Memory model: the writer-side state is one global stamp counter plus
-// a diagnostic map of recently written component names, bounded at
-// snapshotSeqCap entries (oldest names evicted first — correctness
-// never depends on the map, because stamps are globally monotone per
-// writer). The replicated state itself grows with the command history;
-// enable ServiceConfig.CheckpointEvery to fold the decided prefix into
-// checkpoints and keep the cluster's resident state O(window).
+// Memory model: the writer-side state is one global stamp counter
+// (stamps are globally monotone per writer, so no per-component state
+// is needed). The replicated state itself grows with the command
+// history; enable ServiceConfig.CheckpointEvery to fold the decided
+// prefix into checkpoints and keep the cluster's resident state
+// O(window).
 type Snapshot struct {
 	svc *Service
 
 	mu    sync.Mutex
-	seq   map[string]uint64 // recent per-component write stamps (diagnostics)
-	order []string          // FIFO over seq for eviction
 	stamp uint64
 }
-
-// snapshotSeqCap bounds the per-writer component-stamp map: beyond it,
-// the oldest component entries are evicted. Previously the map grew
-// with the number of distinct component names forever.
-const snapshotSeqCap = 1024
 
 // NewSnapshot builds a snapshot object over a fresh replica cluster.
 func NewSnapshot(cfg ServiceConfig) (*Snapshot, error) {
@@ -47,7 +39,7 @@ func NewSnapshot(cfg ServiceConfig) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{svc: svc, seq: map[string]uint64{}}, nil
+	return &Snapshot{svc: svc}, nil
 }
 
 // Close shuts the underlying cluster down.
@@ -66,14 +58,6 @@ func (s *Snapshot) UpdateCtx(ctx context.Context, component, value string) error
 	s.mu.Lock()
 	s.stamp++
 	st := s.stamp
-	if _, seen := s.seq[component]; !seen {
-		s.order = append(s.order, component)
-		for len(s.order) > snapshotSeqCap {
-			delete(s.seq, s.order[0])
-			s.order = s.order[1:]
-		}
-	}
-	s.seq[component] = st
 	s.mu.Unlock()
 	return s.svc.UpdateCtx(ctx, PutCmd(component, st, value))
 }
@@ -104,10 +88,10 @@ func (s *Snapshot) ScanComponent(component string) (string, error) {
 	return snap[component], nil
 }
 
-// String renders a diagnostic summary (component count is of the
-// bounded recent-writes map, capped at snapshotSeqCap).
+// String renders a diagnostic summary: the number of write stamps
+// issued.
 func (s *Snapshot) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fmt.Sprintf("bgla.Snapshot{writes: %d components, %d stamps}", len(s.seq), s.stamp)
+	return fmt.Sprintf("bgla.Snapshot{%d stamps}", s.stamp)
 }

@@ -101,7 +101,7 @@ func TestSnapshotWithMuteReplica(t *testing.T) {
 	if err != nil || got != "v" {
 		t.Fatalf("scan = %q, %v", got, err)
 	}
-	if !strings.Contains(snap.String(), "1 components") {
+	if !strings.Contains(snap.String(), "1 stamps") {
 		t.Fatalf("String = %s", snap.String())
 	}
 }

@@ -106,6 +106,9 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 	if len(cfg.ShardMutes) > cfg.Shards {
 		return nil, fmt.Errorf("bgla: mutes for %d shards, only %d configured", len(cfg.ShardMutes), cfg.Shards)
 	}
+	if cfg.OpTimeout < 0 {
+		return nil, fmt.Errorf("bgla: negative OpTimeout %v", cfg.OpTimeout)
+	}
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = defaultOpTimeout
 	}
@@ -240,10 +243,7 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 			SubmitTo:    submitTo,
 			F:           cfg.Faulty,
 			MaxBatch:    cfg.MaxBatch,
-			MaxDelay:    cfg.MaxBatchDelay,
-			MinBatch:    cfg.MinBatch,
 			MaxInFlight: cfg.MaxInFlight,
-			QueueDepth:  cfg.QueueDepth,
 			OpTimeout:   cfg.OpTimeout,
 			StartSeq:    uint64(startSeq),
 			Registry:    cfg.Obs.Registry,

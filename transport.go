@@ -103,13 +103,11 @@ func (cfg ServiceConfig) walOptions(shard, replica int) (wal.Options, error) {
 		return wal.Options{}, err
 	}
 	opt := wal.Options{
-		Policy:       pol,
-		GroupEvery:   cfg.GroupSync,
-		SegmentBytes: cfg.SegmentBytes,
-		Trace:        cfg.Obs.ConsensusTrace,
-		Clock:        cfg.Obs.Clock,
-		Shard:        shard,
-		Proc:         ident.ProcessID(replica).String(),
+		Policy: pol,
+		Trace:  cfg.Obs.ConsensusTrace,
+		Clock:  cfg.Obs.Clock,
+		Shard:  shard,
+		Proc:   ident.ProcessID(replica).String(),
 	}
 	if cfg.Hooks != nil && cfg.Hooks.Storage != nil && cfg.Hooks.Storage.Hooks != nil {
 		opt.Hooks = cfg.Hooks.Storage.Hooks(shard, replica)
