@@ -177,4 +177,14 @@ func TestRegistrySampling(t *testing.T) {
 	if _, ok := r.SampleCounter("depth", "shard", "0"); ok {
 		t.Fatal("kind mismatch reported present")
 	}
+	r.GaugeFunc("pulled_depth", func() int64 { return 9 })
+	if v, ok := r.SampleGauge("depth", "shard", "0"); !ok || v != -3 {
+		t.Fatalf("SampleGauge = %d,%v", v, ok)
+	}
+	if v, ok := r.SampleGauge("pulled_depth"); !ok || v != 9 {
+		t.Fatalf("SampleGauge(func) = %d,%v", v, ok)
+	}
+	if _, ok := r.SampleGauge("decided_total", "shard", "0"); ok {
+		t.Fatal("gauge read of a counter reported present")
+	}
 }

@@ -6,18 +6,35 @@ package obs
 // is copied under the registry mutex and a pull-mode view is invoked
 // after releasing it, mirroring exposition.
 func (r *Registry) SampleCounter(name string, labels ...string) (uint64, bool) {
-	key := labelKey(labels)
-	r.mu.Lock()
-	var inst any
-	if f := r.fam[name]; f != nil {
-		inst = f.series[key]
-	}
-	r.mu.Unlock()
-	switch inst := inst.(type) {
+	switch inst := r.series(name, labels).(type) {
 	case *Counter:
 		return inst.Value(), true
 	case func() uint64:
 		return inst(), true
 	}
 	return 0, false
+}
+
+// SampleGauge is SampleCounter for gauge series (direct or GaugeFunc
+// view).
+func (r *Registry) SampleGauge(name string, labels ...string) (int64, bool) {
+	switch inst := r.series(name, labels).(type) {
+	case *Gauge:
+		return inst.Value(), true
+	case func() int64:
+		return inst(), true
+	}
+	return 0, false
+}
+
+// series copies one series' instrument reference under the mutex (nil
+// when absent).
+func (r *Registry) series(name string, labels []string) any {
+	key := labelKey(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.fam[name]; f != nil {
+		return f.series[key]
+	}
+	return nil
 }

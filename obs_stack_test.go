@@ -17,6 +17,7 @@ import (
 	"bgla/internal/faultnet"
 	"bgla/internal/obs"
 	"bgla/internal/proto"
+	"bgla/internal/wal"
 )
 
 // runTracedScenario runs a fixed workload on the deterministic harness
@@ -216,5 +217,96 @@ func TestServiceCloseFreezesStats(t *testing.T) {
 	}
 	if buf1.String() != buf2.String() {
 		t.Fatal("post-close /metrics exposition unstable")
+	}
+}
+
+// TestRegistryMatchesStats runs a seeded durable two-shard Store on the
+// deterministic network and an in-memory filesystem, then restarts it
+// from that filesystem once. After each Close every registry family
+// that mirrors a CompactionStats, StorageStats or Stats field must read
+// the same number as the struct.
+func TestRegistryMatchesStats(t *testing.T) {
+	const seed = 13
+	mfs := wal.NewMemFS()
+	for gen := 0; gen < 2; gen++ {
+		reg := obs.NewRegistry()
+		var net *faultnet.Net
+		st, err := NewStore(ShardedConfig{Shards: 2, ServiceConfig: ServiceConfig{
+			Replicas: 4, Faulty: 1, Seed: seed,
+			CheckpointEvery: 16, DataDir: "data", SyncMode: "record",
+			Obs: ObsConfig{Registry: reg},
+			Hooks: &ServiceHooks{
+				NewTransport: func(machines []proto.Machine, _ TransportOptions) Transport {
+					net = faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}})
+					return net
+				},
+				Storage: &StorageHooks{FS: mfs},
+			},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 48; k++ {
+			if err := st.Update(AddCmd(fmt.Sprintf("g%d-%02d", gen, k))); err != nil {
+				t.Fatalf("gen %d: update %d: %v", gen, k, err)
+			}
+			net.Quiesce()
+			if k%16 == 15 {
+				if _, err := st.Scan(); err != nil {
+					t.Fatalf("gen %d: scan: %v", gen, err)
+				}
+				net.Quiesce()
+			}
+		}
+		st.Close()
+
+		cs, ss, stats := st.CompactionStats(), st.StorageStats(), st.Stats()
+		type series struct {
+			name   string
+			labels []string
+			want   int64
+		}
+		counters := []series{
+			{"bgla_ckpt_installs_total", nil, cs.Installs},
+			{"bgla_ckpt_certs_total", nil, cs.CertsBuilt},
+			{"bgla_ckpt_sigs_total", nil, cs.SigsIssued},
+			{"bgla_ckpt_transfers_total", []string{"dir", "served"}, cs.TransfersServed},
+			{"bgla_ckpt_transfers_total", []string{"dir", "received"}, cs.TransfersReceived},
+			{"bgla_ckpt_transfers_total", []string{"dir", "requested"}, cs.TransfersRequested},
+			{"bgla_wal_records_total", nil, ss.Records},
+			{"bgla_wal_bytes_total", nil, ss.Bytes},
+			{"bgla_wal_syncs_total", nil, ss.Syncs},
+			{"bgla_wal_syncs_dropped_total", nil, ss.SyncsDropped},
+			{"bgla_wal_rotations_total", nil, ss.Rotations},
+			{"bgla_wal_snapshots_total", nil, ss.Snapshots},
+			{"bgla_wal_errors_total", nil, ss.Errors},
+			{"bgla_scans_total", nil, int64(stats.Scans)},
+			{"bgla_scan_passes_total", nil, int64(stats.ScanPasses)},
+			{"bgla_scan_retries_total", nil, int64(stats.ScanRetries)},
+		}
+		for s, bs := range stats.PerShard {
+			sh := fmt.Sprint(s)
+			counters = append(counters,
+				series{"bgla_ops_total", []string{"shard", sh, "type", "update"}, int64(bs.Updates)},
+				series{"bgla_flights_total", []string{"shard", sh}, int64(bs.Flights)})
+		}
+		for _, c := range counters {
+			got, ok := reg.SampleCounter(c.name, c.labels...)
+			if !ok || int64(got) != c.want {
+				t.Errorf("gen %d: %s%v = %d (present %v), struct says %d", gen, c.name, c.labels, got, ok, c.want)
+			}
+			t.Logf("gen %d: %s%v = %d", gen, c.name, c.labels, got)
+		}
+		for _, g := range []series{{"bgla_ckpt_epoch", nil, cs.MaxEpoch}, {"bgla_ckpt_base_len", nil, cs.MaxBaseLen}} {
+			got, ok := reg.SampleGauge(g.name)
+			if !ok || got != g.want {
+				t.Errorf("gen %d: %s = %d (present %v), struct says %d", gen, g.name, got, ok, g.want)
+			}
+			t.Logf("gen %d: %s = %d", gen, g.name, got)
+		}
+		t.Logf("gen %d: RecoveredItems = %d, MinBaseLen = %d", gen, ss.RecoveredItems, cs.MinBaseLen)
+		if cs.Installs == 0 || ss.Records == 0 || (gen == 1) != (ss.RecoveredItems > 0) {
+			t.Fatalf("gen %d: workload missed a layer: %+v %+v", gen, cs, ss)
+		}
 	}
 }
