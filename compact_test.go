@@ -58,12 +58,13 @@ func TestServiceCompaction(t *testing.T) {
 	if got, want := len(SetView(state)), writers*perWriter; got != want {
 		t.Fatalf("read %d set elements, want %d", got, want)
 	}
-	st := svc.CompactionStats()
-	if st.Installs == 0 || st.CertsBuilt == 0 || st.MaxBaseLen < 48 {
-		t.Fatalf("no compaction happened under load: %+v", st)
+	reg := svc.Metrics()
+	installs, certs := sampleCounter(t, reg, "bgla_ckpt_installs_total"), sampleCounter(t, reg, "bgla_ckpt_certs_total")
+	if base := sampleGauge(t, reg, "bgla_ckpt_base_len"); installs == 0 || certs == 0 || base < 48 {
+		t.Fatalf("no compaction happened under load: %d installs, %d certs, max base %d", installs, certs, base)
 	}
-	if st.MaxEpoch == 0 {
-		t.Fatalf("epoch never advanced: %+v", st)
+	if sampleGauge(t, reg, "bgla_ckpt_epoch") == 0 {
+		t.Fatal("epoch never advanced")
 	}
 }
 
@@ -90,8 +91,8 @@ func TestServiceCompactionBytesOnly(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := svc.CompactionStats(); st.Installs == 0 {
-		t.Fatalf("bytes-only compaction trigger never fired: %+v", st)
+	if sampleCounter(t, svc.Metrics(), "bgla_ckpt_installs_total") == 0 {
+		t.Fatal("bytes-only compaction trigger never fired")
 	}
 }
 
@@ -144,9 +145,8 @@ func TestStoreCompactionScan(t *testing.T) {
 	if got, want := len(SetView(state)), writers*perWriter; got != want {
 		t.Fatalf("scan found %d elements, want %d", got, want)
 	}
-	cs := st.CompactionStats()
-	if cs.Installs == 0 {
-		t.Fatalf("sharded store never checkpointed: %+v", cs)
+	if sampleCounter(t, st.Metrics(), "bgla_ckpt_installs_total") == 0 {
+		t.Fatal("sharded store never checkpointed")
 	}
 	stats := st.Stats()
 	if stats.Scans == 0 {

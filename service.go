@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bgla/internal/batch"
+	"bgla/internal/compact"
 	"bgla/internal/core/gwts"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
@@ -262,8 +263,7 @@ func batchStatsOf(p *batch.Pipeline) BatchStats {
 	}
 }
 
-// BatchStats snapshots the batching pipeline's counters. After Close
-// it returns the frozen terminal snapshot.
+// BatchStats snapshots the batching pipeline's counters.
 func (s *Service) BatchStats() BatchStats { return s.st.Stats().Total }
 
 // Metrics returns the registry backing the cluster's instruments (the
@@ -273,130 +273,59 @@ func (s *Service) Metrics() *obs.Registry { return s.st.Metrics() }
 
 // LatencyStats returns the decision-latency histogram (flight launch
 // to decide quorum, in Clock units — nanoseconds under the wall
-// clock). After Close it returns the frozen terminal snapshot.
+// clock).
 func (s *Service) LatencyStats() obs.HistSnapshot { return s.st.LatencyStats() }
 
-// CompactionStats aggregates the replicas' checkpoint activity: how
-// many certificates were installed, the deepest certified prefix, and
-// the state transfers served to (and completed by) lagging replicas.
-// All zero when CheckpointEvery/CheckpointBytes are unset.
-type CompactionStats struct {
-	// Installs sums checkpoint installations across replicas;
-	// CertsBuilt the certificates assembled; SigsIssued the
-	// countersignatures produced.
-	Installs, CertsBuilt, SigsIssued int64
-	// TransfersServed / TransfersReceived count state-transfer replies
-	// sent to and catch-ups completed from peers' checkpoints;
-	// TransfersRequested the state_req round-trips initiated (a
-	// restarted replica with an intact local WAL needs none).
-	TransfersServed, TransfersReceived, TransfersRequested int64
-	// MaxEpoch is the deepest replica's checkpoint count; MinBaseLen
-	// and MaxBaseLen bound the certified prefix sizes across replicas.
-	MaxEpoch, MinBaseLen, MaxBaseLen int64
-}
-
-func aggregateCompaction(reps []*gwts.Machine) CompactionStats {
-	var out CompactionStats
-	first := true
-	for _, r := range reps {
-		st := r.CompactionStats()
-		out.Installs += st.Installs
-		out.CertsBuilt += st.CertsBuilt
-		out.SigsIssued += st.SigsIssued
-		out.TransfersServed += st.TransfersServed
-		out.TransfersReceived += st.TransfersReceived
-		out.TransfersRequested += st.TransfersRequested
-		if st.Epoch > out.MaxEpoch {
-			out.MaxEpoch = st.Epoch
-		}
-		if st.BaseLen > out.MaxBaseLen {
-			out.MaxBaseLen = st.BaseLen
-		}
-		if first || st.BaseLen < out.MinBaseLen {
-			out.MinBaseLen = st.BaseLen
-		}
-		first = false
-	}
-	return out
-}
-
-// CompactionStats snapshots the correct replicas' checkpoint counters
-// (atomics — safe while the cluster runs). After Close it returns the
-// frozen terminal snapshot.
-func (s *Service) CompactionStats() CompactionStats { return s.st.CompactionStats() }
-
-// StorageStats aggregates the replicas' durable-log activity (all zero
-// when DataDir is unset). See wal.Stats for the per-log fields.
-type StorageStats struct {
-	// Records / Bytes / Syncs count framed records appended, bytes
-	// written and fsyncs issued across replicas; SyncsDropped the syncs
-	// a fault hook suppressed.
-	Records, Bytes, Syncs, SyncsDropped int64
-	// Rotations / Snapshots / Pruned count segment rolls, checkpoint
-	// snapshots written, and covered files deleted.
-	Rotations, Snapshots, Pruned int64
-	// Errors counts wedged logs' write failures.
-	Errors int64
-	// RecoveredRecords / RecoveredItems describe what the last Open
-	// replayed from disk; RecoveredDiscarded the damaged bytes dropped;
-	// TornTails how many replicas healed a torn tail.
-	RecoveredRecords, RecoveredItems, RecoveredDiscarded int64
-	TornTails                                            int64
-}
-
-func aggregateStorage(pers []*wal.Persister) StorageStats {
-	var out StorageStats
-	for _, p := range pers {
-		st := p.Log().Stats()
-		out.Records += st.Records
-		out.Bytes += st.Bytes
-		out.Syncs += st.Syncs
-		out.SyncsDropped += st.SyncsDropped
-		out.Rotations += st.Rotations
-		out.Snapshots += st.Snapshots
-		out.Pruned += st.Pruned
-		out.Errors += st.Errors
-		out.RecoveredRecords += st.RecoveredRecords
-		out.RecoveredItems += st.RecoveredItems
-		out.RecoveredDiscarded += st.RecoveredDiscarded
-		if st.TornTail {
-			out.TornTails++
-		}
-	}
-	return out
-}
-
-// StorageStats snapshots the replicas' WAL counters (atomics — safe
-// while the cluster runs). After Close it returns the frozen terminal
-// snapshot.
-func (s *Service) StorageStats() StorageStats { return s.st.StorageStats() }
-
 // registerClusterViews registers pull-mode registry views over the
-// compaction and storage aggregates, so /metrics exposes the same
-// numbers the CompactionStats/StorageStats snapshots report. Re-used
-// registries replace the views (CounterFunc semantics) — the newest
-// cluster wins, matching how tests rebuild services over one registry.
+// correct replicas' checkpoint counters (compact.Stats) and their
+// durable logs' counters (wal.Stats): counters sum across every shard
+// replica, the epoch and base-length gauges report the deepest one.
+// Re-used registries replace the views (CounterFunc semantics) — the
+// newest cluster wins, matching how tests rebuild services over one
+// registry.
 func registerClusterViews(reg *obs.Registry, reps []*gwts.Machine, pers []*wal.Persister) {
-	comp := func(pick func(CompactionStats) int64) func() uint64 {
-		return func() uint64 { return uint64(pick(aggregateCompaction(reps))) }
+	ckptSum := func(pick func(compact.Stats) int64) func() uint64 {
+		return func() uint64 {
+			var n int64
+			for _, r := range reps {
+				n += pick(r.CompactionStats())
+			}
+			return uint64(n)
+		}
 	}
-	reg.CounterFunc("bgla_ckpt_installs_total", comp(func(c CompactionStats) int64 { return c.Installs }))
-	reg.CounterFunc("bgla_ckpt_certs_total", comp(func(c CompactionStats) int64 { return c.CertsBuilt }))
-	reg.CounterFunc("bgla_ckpt_sigs_total", comp(func(c CompactionStats) int64 { return c.SigsIssued }))
-	reg.CounterFunc("bgla_ckpt_transfers_total", comp(func(c CompactionStats) int64 { return c.TransfersServed }), "dir", "served")
-	reg.CounterFunc("bgla_ckpt_transfers_total", comp(func(c CompactionStats) int64 { return c.TransfersReceived }), "dir", "received")
-	reg.CounterFunc("bgla_ckpt_transfers_total", comp(func(c CompactionStats) int64 { return c.TransfersRequested }), "dir", "requested")
-	reg.GaugeFunc("bgla_ckpt_epoch", func() int64 { return aggregateCompaction(reps).MaxEpoch })
-	reg.GaugeFunc("bgla_ckpt_base_len", func() int64 { return aggregateCompaction(reps).MaxBaseLen })
+	ckptMax := func(pick func(compact.Stats) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, r := range reps {
+				n = max(n, pick(r.CompactionStats()))
+			}
+			return n
+		}
+	}
+	reg.CounterFunc("bgla_ckpt_installs_total", ckptSum(func(c compact.Stats) int64 { return c.Installs }))
+	reg.CounterFunc("bgla_ckpt_certs_total", ckptSum(func(c compact.Stats) int64 { return c.CertsBuilt }))
+	reg.CounterFunc("bgla_ckpt_sigs_total", ckptSum(func(c compact.Stats) int64 { return c.SigsIssued }))
+	reg.CounterFunc("bgla_ckpt_transfers_total", ckptSum(func(c compact.Stats) int64 { return c.TransfersServed }), "dir", "served")
+	reg.CounterFunc("bgla_ckpt_transfers_total", ckptSum(func(c compact.Stats) int64 { return c.TransfersReceived }), "dir", "received")
+	reg.CounterFunc("bgla_ckpt_transfers_total", ckptSum(func(c compact.Stats) int64 { return c.TransfersRequested }), "dir", "requested")
+	reg.GaugeFunc("bgla_ckpt_epoch", ckptMax(func(c compact.Stats) int64 { return c.Epoch }))
+	reg.GaugeFunc("bgla_ckpt_base_len", ckptMax(func(c compact.Stats) int64 { return c.BaseLen }))
 
-	stor := func(pick func(StorageStats) int64) func() uint64 {
-		return func() uint64 { return uint64(pick(aggregateStorage(pers))) }
+	walSum := func(pick func(wal.Stats) int64) func() uint64 {
+		return func() uint64 {
+			var n int64
+			for _, p := range pers {
+				n += pick(p.Log().Stats())
+			}
+			return uint64(n)
+		}
 	}
-	reg.CounterFunc("bgla_wal_records_total", stor(func(s StorageStats) int64 { return s.Records }))
-	reg.CounterFunc("bgla_wal_bytes_total", stor(func(s StorageStats) int64 { return s.Bytes }))
-	reg.CounterFunc("bgla_wal_syncs_total", stor(func(s StorageStats) int64 { return s.Syncs }))
-	reg.CounterFunc("bgla_wal_syncs_dropped_total", stor(func(s StorageStats) int64 { return s.SyncsDropped }))
-	reg.CounterFunc("bgla_wal_rotations_total", stor(func(s StorageStats) int64 { return s.Rotations }))
-	reg.CounterFunc("bgla_wal_snapshots_total", stor(func(s StorageStats) int64 { return s.Snapshots }))
-	reg.CounterFunc("bgla_wal_errors_total", stor(func(s StorageStats) int64 { return s.Errors }))
+	reg.CounterFunc("bgla_wal_records_total", walSum(func(s wal.Stats) int64 { return s.Records }))
+	reg.CounterFunc("bgla_wal_bytes_total", walSum(func(s wal.Stats) int64 { return s.Bytes }))
+	reg.CounterFunc("bgla_wal_syncs_total", walSum(func(s wal.Stats) int64 { return s.Syncs }))
+	reg.CounterFunc("bgla_wal_syncs_dropped_total", walSum(func(s wal.Stats) int64 { return s.SyncsDropped }))
+	reg.CounterFunc("bgla_wal_rotations_total", walSum(func(s wal.Stats) int64 { return s.Rotations }))
+	reg.CounterFunc("bgla_wal_snapshots_total", walSum(func(s wal.Stats) int64 { return s.Snapshots }))
+	reg.CounterFunc("bgla_wal_errors_total", walSum(func(s wal.Stats) int64 { return s.Errors }))
+	reg.CounterFunc("bgla_wal_recovered_items_total", walSum(func(s wal.Stats) int64 { return s.RecoveredItems }))
 }

@@ -78,18 +78,6 @@ type Store struct {
 	rng   *rand.Rand
 
 	closeOnce sync.Once
-	closed    atomic.Bool
-	frozen    frozenStats
-}
-
-// frozenStats is the terminal snapshot Close captures after teardown,
-// so the stats surfaces stay stable (and race-free) once the cluster
-// is gone.
-type frozenStats struct {
-	store      StoreStats
-	compaction CompactionStats
-	storage    StorageStats
-	latency    obs.HistSnapshot
 }
 
 // NewStore builds and starts the sharded cluster.
@@ -321,9 +309,12 @@ func newReplica(cfg ShardedConfig, kc sig.Keychain, shard, slot int) (*gwts.Mach
 }
 
 // Close shuts the whole cluster down: every shard pipeline, every
-// replica's shard workers, then the transport. Idempotent and safe to
-// call concurrently (a second Close — defer plus explicit — must not
-// re-stop the network); blocked callers return an error.
+// replica's shard workers, the transport, then the durable logs.
+// Idempotent and safe to call concurrently (a second Close — defer plus
+// explicit — must not re-stop the network); blocked callers return an
+// error. Once Close returns nothing that feeds a counter is running, so
+// Stats, LatencyStats and the registry views read a stable terminal
+// state (only a later Scan call still counts itself).
 func (st *Store) Close() {
 	st.closeOnce.Do(func() {
 		for _, p := range st.pipes {
@@ -340,16 +331,6 @@ func (st *Store) Close() {
 		for _, p := range st.pers {
 			_ = p.Close()
 		}
-		// Everything has stopped moving: freeze the stats surfaces so a
-		// scraper (or a test) reading after Close sees one consistent
-		// terminal state, never a machine mid-teardown.
-		st.frozen = frozenStats{
-			store:      st.liveStats(),
-			compaction: aggregateCompaction(st.reps),
-			storage:    aggregateStorage(st.pers),
-			latency:    st.liveLatency(),
-		}
-		st.closed.Store(true)
 	})
 }
 
@@ -551,16 +532,8 @@ type StoreStats struct {
 	ScanRetries uint64
 }
 
-// Stats snapshots the store's counters. After Close it returns the
-// frozen terminal snapshot.
+// Stats snapshots the store's counters.
 func (st *Store) Stats() StoreStats {
-	if st.closed.Load() {
-		return st.frozen.store
-	}
-	return st.liveStats()
-}
-
-func (st *Store) liveStats() StoreStats {
 	out := StoreStats{
 		Scans: st.scans.Load(), ScanPasses: st.scanPasses.Load(),
 		ScanRetries: st.scanRetries.Load(),
@@ -583,43 +556,14 @@ func (st *Store) liveStats() StoreStats {
 	return out
 }
 
-// CompactionStats aggregates checkpoint activity across every shard
-// replica (atomics — safe while the store runs). All zero unless
-// CheckpointEvery/CheckpointBytes are set. After Close it returns the
-// frozen terminal snapshot.
-func (st *Store) CompactionStats() CompactionStats {
-	if st.closed.Load() {
-		return st.frozen.compaction
-	}
-	return aggregateCompaction(st.reps)
-}
-
-// StorageStats aggregates WAL activity across every shard replica's
-// durable log (atomics — safe while the store runs). All zero unless
-// DataDir is set. After Close it returns the frozen terminal snapshot.
-func (st *Store) StorageStats() StorageStats {
-	if st.closed.Load() {
-		return st.frozen.storage
-	}
-	return aggregateStorage(st.pers)
-}
-
 // Metrics returns the registry backing the store's instruments (the
 // configured ObsConfig.Registry, or the private one the zero config
 // got). Per-shard series are labeled shard="<s>".
 func (st *Store) Metrics() *obs.Registry { return st.cfg.Obs.Registry }
 
 // LatencyStats merges the per-shard decision-latency histograms into
-// one store-level snapshot. After Close it returns the frozen terminal
-// snapshot.
+// one store-level snapshot.
 func (st *Store) LatencyStats() obs.HistSnapshot {
-	if st.closed.Load() {
-		return st.frozen.latency
-	}
-	return st.liveLatency()
-}
-
-func (st *Store) liveLatency() obs.HistSnapshot {
 	var out obs.HistSnapshot
 	for _, p := range st.pipes {
 		out.Merge(p.LatencySnapshot())

@@ -33,9 +33,9 @@ func TestServiceDurableRestart(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	if st := svc.StorageStats(); st.Records == 0 || st.Syncs == 0 {
+	if recs, syncs := sampleCounter(t, svc.Metrics(), "bgla_wal_records_total"), sampleCounter(t, svc.Metrics(), "bgla_wal_syncs_total"); recs == 0 || syncs == 0 {
 		svc.Close()
-		t.Fatalf("no WAL activity: %+v", st)
+		t.Fatalf("no WAL activity: %d records, %d syncs", recs, syncs)
 	}
 	svc.Close()
 
@@ -53,8 +53,8 @@ func TestServiceDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if st := svc2.StorageStats(); st.RecoveredItems == 0 {
-		t.Fatalf("nothing recovered from disk: %+v", st)
+	if sampleCounter(t, svc2.Metrics(), "bgla_wal_recovered_items_total") == 0 {
+		t.Fatal("nothing recovered from disk")
 	}
 	state, err := svc2.Read()
 	if err != nil {
@@ -144,8 +144,8 @@ func TestStoreDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if ss := st2.StorageStats(); ss.RecoveredItems == 0 {
-		t.Fatalf("store recovered nothing: %+v", ss)
+	if sampleCounter(t, st2.Metrics(), "bgla_wal_recovered_items_total") == 0 {
+		t.Fatal("store recovered nothing")
 	}
 	state, err := st2.Scan()
 	if err != nil {
