@@ -9,9 +9,9 @@
 // With -shards S > 1 each replica node hosts S independent lattice
 // instances behind a shard.Demux, multiplexed over the same TCP mesh by
 // the shard-tagged envelope, and the client runs one batching pipeline
-// per shard — the deployment shape of bgla.Store on a real network.
-//
-// Usage:
+// per shard — the deployment shape of bgla.Store on a real network. At
+// S = 1 the replica sits on its node directly and the client speaks the
+// unwrapped protocol.
 //
 // With -datadir DIR each replica appends its decided rounds to a
 // per-replica write-ahead log under DIR (internal/wal); rerunning with
@@ -61,14 +61,9 @@ func main() {
 	linger := flag.Duration("linger", 0, "keep the cluster (and debug server) alive this long after the workload completes")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *shards < 1:
-		err = fmt.Errorf("%d shards", *shards)
-	case *shards > 1:
-		err = runSharded(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
-	default:
-		err = run(*n, *f, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
+	err := fmt.Errorf("%d shards", *shards)
+	if *shards >= 1 {
+		err = run(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bglarsm: %v\n", err)
@@ -154,7 +149,11 @@ func openNodeLog(datadir, fsync string, shardIdx, replica int, clientID ident.Pr
 	return p, recovered, maxSeq, nil
 }
 
-func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
+// run deploys the cluster and drives the counter workload. At S = 1
+// each replica is its node's machine and the client runs one pipeline
+// behind a plain gateway; at S > 1 each node hosts S replicas behind a
+// shard.Demux and the client runs one pipeline per shard.
+func run(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
 	// One registry backs every instrument in the process: pipeline
 	// counters, decision-latency histogram, per-peer wire-codec stats.
 	reg := obs.NewRegistry()
@@ -171,192 +170,11 @@ func run(n, f, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr str
 		listeners[i] = l
 		addrs[ident.ProcessID(i)] = l.Addr().String()
 	}
-	fmt.Printf("launching %d replicas (f=%d) + 1 batching client on loopback TCP:\n", n, f)
-	for i := 0; i <= n; i++ {
-		role := "replica"
-		if i == n {
-			role = "client "
-		}
-		fmt.Printf("  %s %d -> %s\n", role, i, addrs[ident.ProcessID(i)])
-	}
-
-	peersOf := func(self ident.ProcessID) map[ident.ProcessID]string {
-		peers := map[ident.ProcessID]string{}
-		for p, a := range addrs {
-			if p != self {
-				peers[p] = a
-			}
-		}
-		return peers
-	}
-
-	var nodes []*tcpnet.Node
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
-	// Replica progress is tracked through the node event streams:
-	// machine state must never be read while a node is driving it.
-	progress := make([]replicaProgress, n)
-	recovered, startSeq := 0, 0
-	for i := 0; i < n; i++ {
-		self := ident.ProcessID(i)
-		r, err := rsm.NewReplica(rsm.ReplicaConfig{
-			Self: self, N: n, F: f, Clients: []ident.ProcessID{clientID},
-		})
-		if err != nil {
-			return err
-		}
-		m, rec, seq, err := openNodeLog(datadir, fsync, 0, i, clientID, r)
-		if err != nil {
-			return err
-		}
-		if rec > recovered {
-			recovered = rec
-		}
-		if seq > startSeq {
-			startSeq = seq
-		}
-		node, err := tcpnet.NewNode(tcpnet.Config{
-			Self: self, Listener: listeners[i], Peers: peersOf(self),
-			Keychain: kc, Machine: m, Registry: reg,
-		})
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, node)
-		go progress[i].follow(node.Events())
-		node.Start()
-	}
-	stopDebug, err := startDebugServer(debugaddr, reg)
-	if err != nil {
-		return err
-	}
-	defer stopDebug()
-	if datadir != "" {
-		fmt.Printf("durable WAL under %s (fsync=%s): %d commands recovered, client resumes at seq %d\n",
-			datadir, fsync, recovered, startSeq+1)
-	}
-
-	// The client node: the batching pipeline sends through its
-	// authenticated links and receives notifications via the gateway.
-	gw := &pipeGateway{self: clientID}
-	clientNode, err := tcpnet.NewNode(tcpnet.Config{
-		Self: clientID, Listener: listeners[n], Peers: peersOf(clientID),
-		Keychain: kc, Machine: gw, Registry: reg,
-	})
-	if err != nil {
-		return err
-	}
-	nodes = append(nodes, clientNode)
-	pipe, err := batch.New(batch.Config{
-		Client:      clientID,
-		Replicas:    ident.Range(n),
-		F:           f,
-		MaxBatch:    batchSize,
-		MaxInFlight: inflight,
-		StartSeq:    uint64(startSeq),
-		Registry:    reg,
-	}, clientNode)
-	if err != nil {
-		return err
-	}
-	defer pipe.Close()
-	gw.deliver = pipe.Deliver
-	clientNode.Start()
-
-	ctx := context.Background()
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, conc)
-	next := make(chan int, ops)
-	for k := 0; k < ops; k++ {
-		next <- k
-	}
-	close(next)
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				cmd := rsm.UniqueCmd(clientID, startSeq+1+k, "inc")
-				if err := pipe.Update(ctx, cmd); err != nil {
-					errs <- fmt.Errorf("op %d: %w", k, err)
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-
-	// Confirmed read over the wire (Algorithm 6).
-	state, err := pipe.Read(ctx)
-	if err != nil {
-		return err
-	}
-	decided := rsm.CountCmds(state)
-
-	st := pipe.Stats()
-	fmt.Printf("\nreplicated %d commands in %v (%.0f ops/sec)\n",
-		ops, elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds())
-	fmt.Printf("pipeline: %d flights, avg batch %.2f, max batch %d\n",
-		st.Flights, st.AvgBatch(), st.MaxBatchOps)
-	printLatency(pipe.LatencySnapshot())
-	fmt.Printf("confirmed read: %d commands visible\n", decided)
-	want := ops + recovered // this run's commands plus everything recovered from disk
-	if decided != want {
-		return fmt.Errorf("read shows %d commands, want %d", decided, want)
-	}
-	// The confirmed read proves f+1 replicas; wait (bounded) for the
-	// rest of the cluster to catch up, via the event streams.
-	converged := true
-	deadline := time.Now().Add(10 * time.Second)
-	for i := range progress {
-		for progress[i].commands() < want && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		cmds, rounds := progress[i].snapshot()
-		fmt.Printf("replica %d: %d commands decided over %d rounds\n", i, cmds, rounds)
-		if cmds < want {
-			converged = false
-		}
-	}
-	if converged {
-		fmt.Println("all replicas converged: decisions form a single growing chain")
+	if shards == 1 {
+		fmt.Printf("launching %d replicas (f=%d) + 1 batching client on loopback TCP:\n", n, f)
 	} else {
-		fmt.Println("some replicas still catching up (decisions grow toward the same chain)")
+		fmt.Printf("launching %d replicas (f=%d) x %d lattice shards + 1 client on loopback TCP:\n", n, f, shards)
 	}
-	lingerFor(linger)
-	return nil
-}
-
-// runSharded deploys S lattice instances per replica node behind
-// shard.Demux machines, all on one TCP mesh, and drives a spread
-// counter workload through S client pipelines.
-func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
-	reg := obs.NewRegistry()
-	clientID := ident.ProcessID(n)
-	kc := sig.NewEd25519(n+1, time.Now().UnixNano())
-	listeners := make([]net.Listener, n+1)
-	addrs := make(map[ident.ProcessID]string, n+1)
-	for i := 0; i <= n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		listeners[i] = l
-		addrs[ident.ProcessID(i)] = l.Addr().String()
-	}
-	fmt.Printf("launching %d replicas (f=%d) x %d lattice shards + 1 client on loopback TCP:\n", n, f, shards)
 	for i := 0; i <= n; i++ {
 		role := "replica"
 		if i == n {
@@ -385,12 +203,16 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 			d.Stop()
 		}
 	}()
-	recovered, startSeq := 0, 0
+	// At S = 1 replica progress is tracked through the node event
+	// streams: machine state must never be read while a node is driving
+	// it.
+	progress := make([]replicaProgress, n)
+	startSeq := 0
 	recPerShard := make([]int, shards)
 	for i := 0; i < n; i++ {
 		self := ident.ProcessID(i)
 		subs := make([]proto.Machine, shards)
-		for s := 0; s < shards; s++ {
+		for s := range subs {
 			r, err := rsm.NewReplica(rsm.ReplicaConfig{
 				Self: self, N: n, F: f, Clients: []ident.ProcessID{clientID},
 			})
@@ -401,28 +223,33 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 			if err != nil {
 				return err
 			}
-			if rec > recPerShard[s] {
-				recPerShard[s] = rec
-			}
-			if seq > startSeq {
-				startSeq = seq
-			}
+			recPerShard[s] = max(recPerShard[s], rec)
+			startSeq = max(startSeq, seq)
 			subs[s] = m
 		}
-		d, err := shard.NewDemux(shard.DemuxConfig{Self: self, Subs: subs, All: all})
-		if err != nil {
-			return err
+		var d *shard.Demux
+		m := subs[0]
+		if shards > 1 {
+			var err error
+			if d, err = shard.NewDemux(shard.DemuxConfig{Self: self, Subs: subs, All: all}); err != nil {
+				return err
+			}
+			m = d
 		}
 		node, err := tcpnet.NewNode(tcpnet.Config{
 			Self: self, Listener: listeners[i], Peers: peersOf(self),
-			Keychain: kc, Machine: d, Registry: reg,
+			Keychain: kc, Machine: m, Registry: reg,
 		})
 		if err != nil {
 			return err
 		}
-		d.SetSend(node.Send, false)
-		demuxes = append(demuxes, d)
 		nodes = append(nodes, node)
+		if d != nil {
+			d.SetSend(node.Send, false)
+			demuxes = append(demuxes, d)
+		} else {
+			go progress[i].follow(node.Events())
+		}
 		node.Start()
 	}
 	stopDebug, err := startDebugServer(debugaddr, reg)
@@ -430,16 +257,28 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 		return err
 	}
 	defer stopDebug()
-
+	recovered := 0
 	for _, r := range recPerShard {
 		recovered += r
 	}
 	if datadir != "" {
-		fmt.Printf("durable WAL under %s (fsync=%s): %d commands recovered across %d shards, client resumes at seq %d\n",
-			datadir, fsync, recovered, shards, startSeq+1)
+		across := ""
+		if shards > 1 {
+			across = fmt.Sprintf(" across %d shards", shards)
+		}
+		fmt.Printf("durable WAL under %s (fsync=%s): %d commands recovered%s, client resumes at seq %d\n",
+			datadir, fsync, recovered, across, startSeq+1)
 	}
 
-	gw := shard.NewGateway(clientID, shards)
+	// The client node: the batching pipelines send through its
+	// authenticated links and receive notifications via the gateway.
+	pipes := make([]*batch.Pipeline, shards)
+	var gw proto.Machine = &pipeGateway{self: clientID, deliver: func(from ident.ProcessID, m msg.Msg) { pipes[0].Deliver(from, m) }}
+	if shards > 1 {
+		sg := shard.NewGateway(clientID, shards)
+		sg.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
+		gw = sg
+	}
 	clientNode, err := tcpnet.NewNode(tcpnet.Config{
 		Self: clientID, Listener: listeners[n], Peers: peersOf(clientID),
 		Keychain: kc, Machine: gw, Registry: reg,
@@ -448,8 +287,11 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 		return err
 	}
 	nodes = append(nodes, clientNode)
-	pipes := make([]*batch.Pipeline, shards)
-	for s := 0; s < shards; s++ {
+	for s := range pipes {
+		var send batch.Sender = clientNode
+		if shards > 1 {
+			send = shard.NewSender(s, clientNode.Send)
+		}
 		p, err := batch.New(batch.Config{
 			Client:      clientID,
 			Replicas:    ident.Range(n),
@@ -459,14 +301,13 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 			StartSeq:    uint64(startSeq),
 			Registry:    reg,
 			Shard:       s,
-		}, shard.NewSender(s, clientNode.Send))
+		}, send)
 		if err != nil {
 			return err
 		}
 		defer p.Close()
 		pipes[s] = p
 	}
-	gw.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
 	clientNode.Start()
 
 	ctx := context.Background()
@@ -503,32 +344,64 @@ func runSharded(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync
 	}
 	elapsed := time.Since(start)
 
-	// Confirmed per-shard reads over the wire (Algorithm 6), merged.
+	// Confirmed reads over the wire (Algorithm 6), one per shard.
 	decided := 0
-	for s := 0; s < shards; s++ {
-		state, err := pipes[s].Read(ctx)
+	var latency obs.HistSnapshot
+	for s, p := range pipes {
+		state, err := p.Read(ctx)
 		if err != nil {
 			return fmt.Errorf("shard %d read: %w", s, err)
 		}
 		cmds := rsm.CountCmds(state)
-		st := pipes[s].Stats()
-		fmt.Printf("shard %d: %d commands decided, %d flights, avg batch %.2f\n",
-			s, cmds, st.Flights, st.AvgBatch())
+		if shards > 1 {
+			st := p.Stats()
+			fmt.Printf("shard %d: %d commands decided, %d flights, avg batch %.2f\n",
+				s, cmds, st.Flights, st.AvgBatch())
+		}
 		decided += cmds
+		latency.Merge(p.LatencySnapshot())
 	}
-	fmt.Printf("\nreplicated %d commands across %d shards in %v (%.0f ops/sec aggregate)\n",
-		ops, shards, elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds())
-	var merged obs.HistSnapshot
-	for s := 0; s < shards; s++ {
-		merged.Merge(pipes[s].LatencySnapshot())
+	opsPerSec := float64(ops) / elapsed.Seconds()
+	if shards == 1 {
+		st := pipes[0].Stats()
+		fmt.Printf("\nreplicated %d commands in %v (%.0f ops/sec)\n", ops, elapsed.Round(time.Millisecond), opsPerSec)
+		fmt.Printf("pipeline: %d flights, avg batch %.2f, max batch %d\n",
+			st.Flights, st.AvgBatch(), st.MaxBatchOps)
+		printLatency(latency)
+		fmt.Printf("confirmed read: %d commands visible\n", decided)
+	} else {
+		fmt.Printf("\nreplicated %d commands across %d shards in %v (%.0f ops/sec aggregate)\n",
+			ops, shards, elapsed.Round(time.Millisecond), opsPerSec)
+		printLatency(latency)
+		fmt.Printf("confirmed merged read: %d commands visible\n", decided)
 	}
-	printLatency(merged)
-	fmt.Printf("confirmed merged read: %d commands visible\n", decided)
-	want := ops + recovered
+	want := ops + recovered // this run's commands plus everything recovered from disk
 	if decided != want {
-		return fmt.Errorf("merged reads show %d commands, want %d", decided, want)
+		return fmt.Errorf("confirmed reads show %d commands, want %d", decided, want)
 	}
-	fmt.Println("per-shard reads confirmed: each shard's decisions form a single growing chain")
+	if shards > 1 {
+		fmt.Println("per-shard reads confirmed: each shard's decisions form a single growing chain")
+	} else {
+		// The confirmed read proves f+1 replicas; wait (bounded) for
+		// the rest of the cluster to catch up, via the event streams.
+		converged := true
+		deadline := time.Now().Add(10 * time.Second)
+		for i := range progress {
+			for progress[i].commands() < want && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			cmds, rounds := progress[i].snapshot()
+			fmt.Printf("replica %d: %d commands decided over %d rounds\n", i, cmds, rounds)
+			if cmds < want {
+				converged = false
+			}
+		}
+		if converged {
+			fmt.Println("all replicas converged: decisions form a single growing chain")
+		} else {
+			fmt.Println("some replicas still catching up (decisions grow toward the same chain)")
+		}
+	}
 	lingerFor(linger)
 	return nil
 }
