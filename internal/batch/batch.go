@@ -236,6 +236,19 @@ type reply struct {
 	m    msg.Msg
 }
 
+// replyBuffer sizes the reply channel: room for a Decide from every
+// replica for each submission of every in-flight batch at the default
+// shape (f+1 = 2 submissions of up to 64 commands), i.e. 128 per replica
+// per flight, capped at 65,536. At n = 4 and MaxInFlight 8 that is 4,096
+// replies (96 KiB); the root stress tests, the faultnet scenarios and
+// the benchmark workloads peaked at 25 queued replies there, and a fake
+// cluster answering every submission at once (MaxInFlight 1, -race) at
+// 127 of its 512. Past it Deliver blocks, which is the memory bound
+// against a replica that floods the client.
+func replyBuffer(cfg Config) int {
+	return min(128*len(cfg.Replicas)*cfg.MaxInFlight, 1<<16)
+}
+
 // New builds and starts a pipeline over the sender.
 func New(cfg Config, send Sender) (*Pipeline, error) {
 	if send == nil {
@@ -248,7 +261,7 @@ func New(cfg Config, send Sender) (*Pipeline, error) {
 		cfg:     cfg,
 		send:    send,
 		reqs:    make(chan *request, cfg.QueueDepth),
-		replies: make(chan reply, 65536),
+		replies: make(chan reply, replyBuffer(cfg)),
 		tokens:  make(chan struct{}, cfg.MaxInFlight),
 		closed:  make(chan struct{}),
 		flights: make(map[uint64]*flight),
@@ -355,7 +368,8 @@ func (p *Pipeline) do(ctx context.Context, r *request) (lattice.Set, error) {
 // Deliver feeds a replica notification (Decide / CnfRep) into the
 // pipeline. The transport owner calls it from its receive path; it
 // never drops a live reply — unmatched notifications are discarded by
-// content, not by arrival timing.
+// content, not by arrival timing — and blocks while the reply buffer
+// (replyBuffer) is full.
 func (p *Pipeline) Deliver(from ident.ProcessID, m msg.Msg) {
 	switch m.(type) {
 	case msg.Decide, msg.CnfRep:
