@@ -61,11 +61,7 @@ func main() {
 	linger := flag.Duration("linger", 0, "keep the cluster (and debug server) alive this long after the workload completes")
 	flag.Parse()
 
-	err := fmt.Errorf("%d shards", *shards)
-	if *shards >= 1 {
-		err = run(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger)
-	}
-	if err != nil {
+	if err := run(*n, *f, *shards, *ops, *conc, *batchSize, *inflight, *datadir, *fsync, *debugaddr, *linger); err != nil {
 		fmt.Fprintf(os.Stderr, "bglarsm: %v\n", err)
 		os.Exit(1)
 	}
@@ -154,6 +150,9 @@ func openNodeLog(datadir, fsync string, shardIdx, replica int, clientID ident.Pr
 // behind a plain gateway; at S > 1 each node hosts S replicas behind a
 // shard.Demux and the client runs one pipeline per shard.
 func run(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debugaddr string, linger time.Duration) error {
+	if shards < 1 {
+		return fmt.Errorf("%d shards", shards)
+	}
 	// One registry backs every instrument in the process: pipeline
 	// counters, decision-latency histogram, per-peer wire-codec stats.
 	reg := obs.NewRegistry()
