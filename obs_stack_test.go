@@ -228,11 +228,11 @@ func TestServiceCloseFreezesStats(t *testing.T) {
 // TestRegistryMatchesStats runs a seeded durable two-shard Store on the
 // deterministic network and an in-memory filesystem, then restarts it
 // from that filesystem once. After each Close every compaction and
-// storage family must be present and read at least what the same run
-// recorded when these numbers also had struct accessors (the run is
-// deterministic, so the floors are the exact values of that run), and
-// the Stats view must agree with its registry families — also after a
-// Scan issued past Close.
+// storage family must be present and read at least the floors below
+// (the run is deterministic: the floors are its exact values when the
+// per-topic stats structs were cross-checked against the registry),
+// and the Stats view must agree with its registry families — also
+// after a Scan issued past Close.
 func TestRegistryMatchesStats(t *testing.T) {
 	const seed = 13
 	type floor struct {
