@@ -1,42 +1,33 @@
 // Package batch is the client-side batching and pipelining gateway of
-// the RSM (§7): it accepts many concurrent Update/Read operations,
-// coalesces them into single lattice proposals (Generalized Lattice
-// Agreement decides *joins* of concurrent proposals, so batching is
-// semantically free), keeps several proposals in flight at once, and
-// fans each decision back to the callers that contributed to it.
+// the RSM (§7): a goroutine adapter over rsm.Gateway, the one client
+// machine of Algorithms 5 and 6. The machine coalesces concurrent
+// operations into single lattice proposals (Generalized Lattice
+// Agreement decides joins of concurrent proposals, so batching is
+// semantically free), keeps several in flight, and ignores
+// notifications from processes outside Replicas.
 //
-// The pipeline preserves the per-operation client semantics of
-// Algorithms 5 and 6: an update completes when f+1 distinct replicas
-// report decide values containing every command of its batch (Alg 5
-// line 4), and a read additionally runs the confirmation phase on the
-// candidate decision values before returning (Alg 6 lines 7-12).
-// Concurrent reads coalesce onto one nop marker per batch, so k
-// concurrent reads cost one confirmation round instead of k.
-//
-// Flow control is explicit: the request queue is bounded (QueueDepth),
-// at most MaxInFlight proposals are outstanding, and every entry point
-// honours context cancellation. A batch launches as soon as a flight
-// slot is free, and while every slot is busy it keeps absorbing queued
-// operations (up to MaxBatch), with no timer involved, so idle
-// callers pay no added latency and saturated pipelines amortize
-// agreement rounds across many operations. The replicas batch again
-// on their side (GWTS folds every value received during a round into
-// the next proposal).
+// The adapter owns what the machine must not: the goroutines, the
+// bounded request queue (QueueDepth backpressure), the bounded reply
+// buffer, context cancellation, the clock, the expiry tick and the
+// registry instruments. A batch launches as soon as a flight slot is
+// free and absorbs queued operations (up to MaxBatch) while every slot
+// is busy, with no linger timer.
 package batch
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
 
-	"bgla/internal/core"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/obs"
+	"bgla/internal/proto"
 	"bgla/internal/rsm"
 )
 
@@ -131,13 +122,6 @@ func (c *Config) applyDefaults() error {
 	if c.OpTimeout < 0 {
 		return fmt.Errorf("batch: negative OpTimeout %v", c.OpTimeout)
 	}
-	if c.SubmitTo == nil {
-		quota := core.ReadQuorum(c.F)
-		if quota > len(c.Replicas) {
-			quota = len(c.Replicas)
-		}
-		c.SubmitTo = c.Replicas[:quota]
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
@@ -167,59 +151,24 @@ func (s Stats) AvgBatch() float64 {
 	return float64(s.Ops) / float64(s.Flights)
 }
 
-// result is one operation's outcome.
-type result struct {
-	value lattice.Set // confirmed state (reads only)
-	err   error
-}
-
-// request is one queued operation.
-type request struct {
-	cmd  lattice.Item // update command (zero for reads)
-	read bool
-	at   time.Time   // enqueue time: OpTimeout runs from here
-	done chan result // buffered(1): flight completion never blocks
-}
-
-type flightPhase int
-
-const (
-	phaseDecide flightPhase = iota
-	phaseConfirm
-)
-
-// flight is one in-flight proposal: a batch of commands plus the Alg
-// 5/6 wait state shared by every operation in the batch.
-type flight struct {
-	seq      uint64
-	items    []lattice.Item // every command of the batch (incl. read nop)
-	updates  []*request
-	reads    []*request
-	phase    flightPhase
-	launched uint64 // Clock timestamp at launch (decision latency)
-
-	deciders   *ident.Set                     // distinct replicas deciding ⊇ items
-	candidates map[lattice.Digest]lattice.Set // decide values seen (digest -> value)
-	confirmers map[lattice.Digest]*ident.Set  // per-candidate confirmation quorums
-	timer      *time.Timer
-}
-
 // Pipeline is the batching gateway. All methods are safe for concurrent
 // use.
 type Pipeline struct {
 	cfg  Config
 	send Sender
 
-	reqs    chan *request
+	reqs    chan rsm.Request
 	replies chan reply
-	tokens  chan struct{} // in-flight slots: send = acquire
+	wake    chan struct{} // buffered(1): collect has work due
 	closed  chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
 
-	mu      sync.Mutex
-	flights map[uint64]*flight
-	seq     uint64
+	mu     sync.Mutex
+	gw     *rsm.Gateway
+	outbox []proto.Output // confirmation requests, sent by collect
+	timer  *time.Timer    // wakes collect at the earliest flight deadline
+	armed  uint64         // the deadline timer is set for
 
 	// Registry-backed instruments (the one counting path; Stats() is a
 	// view over these).
@@ -260,12 +209,15 @@ func New(cfg Config, send Sender) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:     cfg,
 		send:    send,
-		reqs:    make(chan *request, cfg.QueueDepth),
+		reqs:    make(chan rsm.Request, cfg.QueueDepth),
 		replies: make(chan reply, replyBuffer(cfg)),
-		tokens:  make(chan struct{}, cfg.MaxInFlight),
+		wake:    make(chan struct{}, 1),
 		closed:  make(chan struct{}),
-		flights: make(map[uint64]*flight),
-		seq:     cfg.StartSeq,
+		gw: rsm.NewGateway(rsm.GatewayConfig{
+			Self: cfg.Client, F: cfg.F, Replicas: cfg.Replicas, SubmitTo: cfg.SubmitTo,
+			MaxBatch: cfg.MaxBatch, MaxInFlight: cfg.MaxInFlight,
+			StartSeq: cfg.StartSeq, OpTimeout: uint64(cfg.OpTimeout),
+		}),
 	}
 	reg, sh := cfg.Registry, strconv.Itoa(cfg.Shard)
 	p.cUpdates = reg.Counter("bgla_ops_total", "shard", sh, "type", "update")
@@ -276,7 +228,12 @@ func New(cfg Config, send Sender) (*Pipeline, error) {
 	p.gMaxBatch = reg.Gauge("bgla_max_batch_ops", "shard", sh)
 	p.hLatency = reg.Histogram("bgla_decision_latency_ns", "shard", sh)
 	reg.GaugeFunc("bgla_queue_depth", func() int64 { return int64(len(p.reqs)) }, "shard", sh)
-	reg.GaugeFunc("bgla_inflight", func() int64 { return int64(len(p.tokens)) }, "shard", sh)
+	reg.GaugeFunc("bgla_inflight", func() int64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return int64(p.gw.InFlight())
+	}, "shard", sh)
+	p.timer = time.AfterFunc(math.MaxInt64, p.poke)
 	p.wg.Add(2)
 	go p.collect()
 	go p.dispatch()
@@ -287,14 +244,7 @@ func New(cfg Config, send Sender) (*Pipeline, error) {
 func (p *Pipeline) Close() {
 	p.once.Do(func() {
 		close(p.closed)
-		p.mu.Lock()
-		for seq, f := range p.flights {
-			f.timer.Stop()
-			delete(p.flights, seq)
-			completeReqs(f.updates, ErrClosed)
-			completeReqs(f.reads, ErrClosed)
-		}
-		p.mu.Unlock()
+		p.timer.Stop()
 	})
 	p.wg.Wait()
 }
@@ -335,7 +285,7 @@ func (p *Pipeline) trace(kind obs.EventKind, t uint64, seq uint64, detail string
 // Update enqueues a command and blocks until it is durably decided
 // (Alg 5), the context is cancelled, or the pipeline closes.
 func (p *Pipeline) Update(ctx context.Context, cmd lattice.Item) error {
-	_, err := p.do(ctx, &request{cmd: cmd, done: make(chan result, 1)})
+	_, err := p.do(ctx, rsm.Request{Cmd: cmd})
 	return err
 }
 
@@ -343,21 +293,27 @@ func (p *Pipeline) Update(ctx context.Context, cmd lattice.Item) error {
 // (Alg 6). The returned set is the raw decision value: read markers are
 // still present (rsm.StripNops removes them).
 func (p *Pipeline) Read(ctx context.Context) (lattice.Set, error) {
-	return p.do(ctx, &request{read: true, done: make(chan result, 1)})
+	return p.do(ctx, rsm.Request{Read: true})
 }
 
-func (p *Pipeline) do(ctx context.Context, r *request) (lattice.Set, error) {
-	r.at = time.Now()
+func (p *Pipeline) do(ctx context.Context, op rsm.Request) (lattice.Set, error) {
+	// The Ref is where the report that completes the op arrives;
+	// buffered(1), so completing never blocks.
+	done := make(chan rsm.Report, 1)
+	op.At, op.Ref = p.cfg.Clock.Now(), done
 	select {
-	case p.reqs <- r:
+	case p.reqs <- op:
 	case <-ctx.Done():
 		return lattice.Empty(), ctx.Err()
 	case <-p.closed:
 		return lattice.Empty(), ErrClosed
 	}
 	select {
-	case res := <-r.done:
-		return res.value, res.err
+	case r := <-done:
+		if r.Kind == rsm.Expired {
+			return lattice.Empty(), ErrTimeout
+		}
+		return r.Value, nil
 	case <-ctx.Done():
 		return lattice.Empty(), ctx.Err()
 	case <-p.closed:
@@ -382,240 +338,103 @@ func (p *Pipeline) Deliver(from ident.ProcessID, m msg.Msg) {
 	}
 }
 
-// collect coalesces queued requests into batches and launches flights:
-// a batch keeps absorbing queued requests (up to MaxBatch) for as long
-// as every flight slot is busy, and launches the moment one frees.
+// collect is the only goroutine that sends. It feeds queued requests
+// to the machine (holding back at most one batch, so the queue keeps
+// its backpressure), expires and launches flights, keeps the timer set
+// for the earliest flight deadline, and sends the launches and the
+// confirmation requests dispatch left in the outbox.
+// Sending never happens on dispatch, which drains the replies a
+// synchronous transport may deliver from inside Send.
 func (p *Pipeline) collect() {
 	defer p.wg.Done()
 	for {
-		var first *request
+		p.mu.Lock()
+		for p.gw.Queued() < p.cfg.MaxBatch && len(p.reqs) > 0 {
+			p.gw.Submit(<-p.reqs)
+		}
+		now := p.cfg.Clock.Now()
+		outs := append(p.outbox, p.gw.Tick(now)...)
+		p.outbox = nil
+		p.settle()
+		if d, ok := p.gw.NextDeadline(); ok && d != p.armed {
+			p.armed = d
+			p.timer.Reset(time.Duration(d - min(d, now)))
+		}
+		in := p.reqs
+		if p.gw.Queued() >= p.cfg.MaxBatch {
+			in = nil
+		}
+		p.mu.Unlock()
+		for _, o := range outs {
+			p.send.Send(o.To, o.Msg)
+		}
 		select {
-		case first = <-p.reqs:
+		case r := <-in:
+			p.mu.Lock()
+			p.gw.Submit(r)
+			p.mu.Unlock()
+		case <-p.wake:
 		case <-p.closed:
 			return
 		}
-		batch := p.drainInto([]*request{first})
-		for acquired := false; !acquired; {
-			in := p.reqs
-			if len(batch) >= p.cfg.MaxBatch {
-				in = nil
-			}
-			select {
-			case r := <-in:
-				batch = append(batch, r)
-			case p.tokens <- struct{}{}:
-				acquired = true
-			case <-p.closed:
-				completeReqs(batch, ErrClosed)
-				return
-			}
-		}
-		p.launch(p.drainInto(batch))
 	}
 }
 
-// drainInto opportunistically empties the queue into the batch.
-func (p *Pipeline) drainInto(batch []*request) []*request {
-	for len(batch) < p.cfg.MaxBatch {
-		select {
-		case r := <-p.reqs:
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// launch registers a flight and submits its commands to f+1 replicas.
-func (p *Pipeline) launch(batch []*request) {
-	f := &flight{
-		deciders:   ident.NewSet(),
-		candidates: map[lattice.Digest]lattice.Set{},
-		confirmers: map[lattice.Digest]*ident.Set{},
-	}
-	p.mu.Lock()
-	p.seq++
-	f.seq = p.seq
-	for _, r := range batch {
-		if r.read {
-			f.reads = append(f.reads, r)
-		} else {
-			f.updates = append(f.updates, r)
-			f.items = append(f.items, r.cmd)
-		}
-	}
-	if len(f.reads) > 0 {
-		// One nop marker serves every read of the batch (Alg 6 line 3).
-		f.items = append(f.items, rsm.NopCmd(p.cfg.Client, int(f.seq)))
-	}
-	p.cFlights.Inc()
-	p.cUpdates.Add(uint64(len(f.updates)))
-	p.cReads.Add(uint64(len(f.reads)))
-	p.gMaxBatch.SetMax(int64(len(batch)))
-	f.launched = p.cfg.Clock.Now()
-	p.trace(obs.EvPropose, f.launched, f.seq, fmt.Sprintf("ops=%d", len(batch)))
-	// OpTimeout runs from enqueue: the flight inherits the deadline of
-	// its oldest operation, so queueing delay is not free extra time.
-	oldest := batch[0].at
-	for _, r := range batch[1:] {
-		if r.at.Before(oldest) {
-			oldest = r.at
-		}
-	}
-	remaining := p.cfg.OpTimeout - time.Since(oldest)
-	if remaining <= 0 {
-		p.cTimeouts.Inc()
-		completeReqs(f.updates, ErrTimeout)
-		completeReqs(f.reads, ErrTimeout)
-		p.mu.Unlock()
-		<-p.tokens
-		return
-	}
-	p.flights[f.seq] = f
-	f.timer = time.AfterFunc(remaining, func() { p.expire(f.seq) })
-	p.mu.Unlock()
-	for _, it := range f.items {
-		for _, to := range p.cfg.SubmitTo {
-			p.send.Send(to, msg.NewValue{Cmd: it})
-		}
-	}
-}
-
-// dispatch routes replica notifications to in-flight batches by
-// content: a reply matches every flight whose wait state it advances,
-// so a notification is never lost to a stale-drop race.
+// dispatch feeds replica notifications to the machine and wakes
+// collect when that leaves sends or launches due.
 func (p *Pipeline) dispatch() {
 	defer p.wg.Done()
 	for {
 		select {
 		case r := <-p.replies:
-			p.handleReply(r)
+			p.mu.Lock()
+			p.outbox = append(p.outbox, p.gw.Handle(r.from, r.m)...)
+			p.settle()
+			due := len(p.outbox) > 0 || p.gw.Queued() > 0 && p.gw.InFlight() < p.cfg.MaxInFlight
+			p.mu.Unlock()
+			if due {
+				p.poke()
+			}
 		case <-p.closed:
 			return
 		}
 	}
 }
 
-func (p *Pipeline) handleReply(r reply) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch v := r.m.(type) {
-	case msg.Decide:
-		for _, f := range p.flights {
-			p.onDecide(f, r.from, v)
+// poke wakes collect.
+func (p *Pipeline) poke() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// settle applies the machine's reports and completes the operations
+// they name; the caller holds p.mu.
+func (p *Pipeline) settle() {
+	for _, r := range p.gw.TakeReports() {
+		switch r.Kind {
+		case rsm.Launched:
+			p.cFlights.Inc()
+			p.cUpdates.Add(uint64(r.Ops - r.Reads))
+			p.cReads.Add(uint64(r.Reads))
+			p.gMaxBatch.SetMax(int64(r.Ops))
+			p.trace(obs.EvPropose, r.Launched, r.Seq, fmt.Sprintf("ops=%d", r.Ops))
+		case rsm.Decided:
+			// The decision-latency sample spans launch to decide quorum
+			// (clamped: a wall-clock step or virtual-time seam could
+			// make the difference negative).
+			now := p.cfg.Clock.Now()
+			p.hLatency.Observe(max(now, r.Launched) - r.Launched)
+			p.trace(obs.EvDecide, now, r.Seq, fmt.Sprintf("ops=%d", r.Ops))
+		case rsm.Expired:
+			p.cTimeouts.Inc()
 		}
-	case msg.CnfRep:
-		for _, f := range p.flights {
-			p.onCnfRep(f, r.from, v)
+		if r.Kind != rsm.Expired {
+			p.cDecided.Add(uint64(len(r.Refs)))
 		}
-	}
-}
-
-// containsAll reports whether value covers every command of the flight.
-func containsAll(value lattice.Set, items []lattice.Item) bool {
-	for _, it := range items {
-		if !value.Contains(it) {
-			return false
+		for _, ref := range r.Refs {
+			ref.(chan rsm.Report) <- r
 		}
-	}
-	return true
-}
-
-// onDecide advances a flight in the decide phase (Alg 5 line 4 /
-// Alg 6 line 6); the caller holds p.mu.
-func (p *Pipeline) onDecide(f *flight, from ident.ProcessID, d msg.Decide) {
-	if f.phase != phaseDecide || !containsAll(d.Value, f.items) {
-		return
-	}
-	f.deciders.Add(from)
-	dig := d.Value.Digest()
-	if _, ok := f.candidates[dig]; !ok {
-		f.candidates[dig] = d.Value
-	}
-	if f.deciders.Len() < core.ReadQuorum(p.cfg.F) {
-		return
-	}
-	// Decide quorum reached: the decision-latency sample spans launch to
-	// here (clamped — a wall-clock step or virtual-time seam could make
-	// the difference negative).
-	now := p.cfg.Clock.Now()
-	if now > f.launched {
-		p.hLatency.Observe(now - f.launched)
-	} else {
-		p.hLatency.Observe(0)
-	}
-	p.trace(obs.EvDecide, now, f.seq, fmt.Sprintf("ops=%d", len(f.updates)+len(f.reads)))
-	// Updates complete at decide quorum.
-	p.cDecided.Add(uint64(len(f.updates)))
-	completeReqs(f.updates, nil)
-	f.updates = nil
-	if len(f.reads) == 0 {
-		p.finish(f)
-		return
-	}
-	// Reads confirm each candidate decision value with all replicas
-	// (Alg 6 lines 7-8).
-	f.phase = phaseConfirm
-	for _, val := range f.candidates {
-		for _, to := range p.cfg.Replicas {
-			p.send.Send(to, msg.CnfReq{Value: val})
-		}
-	}
-}
-
-// onCnfRep counts confirmations; f+1 for one candidate completes the
-// batch's reads (Alg 6 lines 9-12); the caller holds p.mu.
-func (p *Pipeline) onCnfRep(f *flight, from ident.ProcessID, rep msg.CnfRep) {
-	if f.phase != phaseConfirm {
-		return
-	}
-	dig := rep.Value.Digest()
-	if _, ok := f.candidates[dig]; !ok {
-		return // not a value this flight asked about
-	}
-	set := f.confirmers[dig]
-	if set == nil {
-		set = ident.NewSet()
-		f.confirmers[dig] = set
-	}
-	set.Add(from)
-	if set.Len() < core.ReadQuorum(p.cfg.F) {
-		return
-	}
-	p.cDecided.Add(uint64(len(f.reads)))
-	for _, r := range f.reads {
-		r.done <- result{value: rep.Value}
-	}
-	f.reads = nil
-	p.finish(f)
-}
-
-// finish retires a flight and frees its slot; the caller holds p.mu.
-func (p *Pipeline) finish(f *flight) {
-	f.timer.Stop()
-	delete(p.flights, f.seq)
-	<-p.tokens
-}
-
-// expire fails a flight that outlived OpTimeout.
-func (p *Pipeline) expire(seq uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.flights[seq]
-	if !ok {
-		return
-	}
-	p.cTimeouts.Inc()
-	completeReqs(f.updates, ErrTimeout)
-	completeReqs(f.reads, ErrTimeout)
-	delete(p.flights, f.seq)
-	<-p.tokens
-}
-
-// completeReqs completes requests with err (nil = success without a value).
-func completeReqs(reqs []*request, err error) {
-	for _, r := range reqs {
-		r.done <- result{value: lattice.Empty(), err: err}
 	}
 }

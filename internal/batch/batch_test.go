@@ -322,3 +322,33 @@ func TestPipelineConfigValidation(t *testing.T) {
 		t.Fatal("must reject negative OpTimeout")
 	}
 }
+
+// outsiders answers every submission with decide notifications from
+// processes that are not replicas.
+type outsiders struct{ pipe *Pipeline }
+
+func (o *outsiders) Send(_ ident.ProcessID, m msg.Msg) {
+	if v, ok := m.(msg.NewValue); ok {
+		for _, id := range []ident.ProcessID{900, 901} {
+			o.pipe.Deliver(id, msg.Decide{Value: lattice.Singleton(v.Cmd)})
+		}
+	}
+}
+
+func TestPipelineIgnoresNonReplicaReplies(t *testing.T) {
+	// Only replicas count toward the f+1 decide quorum (Alg 5 line 4):
+	// two notifications from outside Replicas must not complete an update.
+	o := &outsiders{}
+	p, err := New(Config{
+		Client: 1000, Replicas: ident.Range(4), F: 1,
+		OpTimeout: 300 * time.Millisecond,
+	}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.pipe = p
+	defer p.Close()
+	if err := p.Update(context.Background(), item(1)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+}

@@ -3,7 +3,6 @@ package rsm
 import (
 	"fmt"
 
-	"bgla/internal/core"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
@@ -18,6 +17,9 @@ const (
 	OpUpdate OpKind = iota
 	OpRead
 )
+
+// kindNames name the kinds as the client events do.
+var kindNames = [...]string{OpUpdate: "update", OpRead: "read"}
 
 // Op is one scripted client operation.
 type Op struct {
@@ -34,42 +36,17 @@ type OpResult struct {
 	Value lattice.Set // confirmed read value (reads only)
 }
 
-// clientPhase is the sequential client's progress on its current op.
-type clientPhase int
-
-const (
-	phaseIdle clientPhase = iota
-	phaseAwaitDecide
-	phaseAwaitConfirm
-)
-
-// Client is a sequential RSM client machine implementing Algorithms 5
-// and 6: it submits each operation to f+1 replicas, waits for f+1
-// distinct replicas to report decisions containing the command, and for
-// reads additionally runs the confirmation phase before returning. Ops
-// run back-to-back; Wakeup messages (scheduled by the driver) start ops
-// at given times instead when Paced is set.
+// Client is a sequential, scripted RSM client (Algorithms 5 and 6): it
+// hands its ops one at a time to a Gateway with MaxBatch and MaxInFlight
+// 1, so each op is one flight and its sequence number. Ops run
+// back-to-back; Wakeup messages (scheduled by the driver) start ops at
+// given times instead when Paced is set.
 type Client struct {
 	proto.Recorder
 	cfg     ClientConfig
-	ops     []Op
-	next    int
-	seq     int
-	phase   clientPhase
-	current Op
-	curCmd  lattice.Item
-	curID   string
-
-	// Update/read wait state: distinct replicas whose decide included
-	// the current command, per Alg 5 line 4 / Alg 6 line 6.
-	deciders *ident.Set
-	// Candidate decision values (digest -> value) for the read
-	// confirmation; content addressing keeps per-notification work O(1)
-	// in the decided set's size.
-	candidates map[lattice.Digest]lattice.Set
-	confirmers map[lattice.Digest]*ident.Set
-	confirmed  bool
-
+	gw      *Gateway
+	next    int       // ops started: the current op's sequence number
+	cur     *OpResult // the op in flight (nil = idle)
 	results []OpResult
 }
 
@@ -93,7 +70,10 @@ type ClientConfig struct {
 
 // NewClient builds a client.
 func NewClient(cfg ClientConfig) *Client {
-	return &Client{cfg: cfg, deciders: ident.NewSet()}
+	return &Client{cfg: cfg, gw: NewGateway(GatewayConfig{
+		Self: cfg.Self, F: cfg.F, Replicas: cfg.Replicas, SubmitTo: cfg.SubmitTo,
+		MaxBatch: 1, MaxInFlight: 1,
+	})}
 }
 
 // ID implements proto.Machine.
@@ -103,7 +83,7 @@ func (c *Client) ID() ident.ProcessID { return c.cfg.Self }
 func (c *Client) Results() []OpResult { return c.results }
 
 // Done reports whether the whole script completed.
-func (c *Client) Done() bool { return c.next >= len(c.cfg.Ops) && c.phase == phaseIdle }
+func (c *Client) Done() bool { return c.next >= len(c.cfg.Ops) && c.cur == nil }
 
 // Start implements proto.Machine.
 func (c *Client) Start() []proto.Output {
@@ -114,150 +94,37 @@ func (c *Client) Start() []proto.Output {
 }
 
 func (c *Client) startNext() []proto.Output {
-	if c.phase != phaseIdle || c.next >= len(c.cfg.Ops) {
+	if c.cur != nil || c.next >= len(c.cfg.Ops) {
 		return nil
 	}
 	op := c.cfg.Ops[c.next]
 	c.next++
-	c.seq++
-	c.current = op
-	c.deciders.Clear()
-	c.candidates = make(map[lattice.Digest]lattice.Set)
-	c.confirmers = make(map[lattice.Digest]*ident.Set)
-	c.confirmed = false
-	kind := "update"
+	cmd := lattice.Item{Author: c.cfg.Self, Body: op.Body}
 	if op.Kind == OpRead {
-		kind = "read"
-		c.curCmd = NopCmd(c.cfg.Self, c.seq)
-	} else {
-		c.curCmd = lattice.Item{Author: c.cfg.Self, Body: op.Body}
+		cmd = NopCmd(c.cfg.Self, c.next)
 	}
-	c.curID = fmt.Sprintf("%v/op%d", c.cfg.Self, c.seq)
-	c.phase = phaseAwaitDecide
-	c.Emit(proto.ClientStartEvent{Proc: c.cfg.Self, OpID: c.curID, Kind: kind, Cmd: c.curCmd})
-	// Trigger new_value at f+1 replicas (Alg 5 line 3 / Alg 6 line 3).
-	var outs []proto.Output
-	targets := c.cfg.SubmitTo
-	if targets == nil {
-		quota := core.ReadQuorum(c.cfg.F)
-		if quota > len(c.cfg.Replicas) {
-			quota = len(c.cfg.Replicas)
-		}
-		targets = c.cfg.Replicas[:quota]
-	}
-	for _, r := range targets {
-		outs = append(outs, proto.Send(r, msg.NewValue{Cmd: c.curCmd}))
-	}
-	return outs
+	c.cur = &OpResult{ID: fmt.Sprintf("%v/op%d", c.cfg.Self, c.next), Kind: op.Kind, Cmd: cmd}
+	c.Emit(proto.ClientStartEvent{Proc: c.cfg.Self, OpID: c.cur.ID, Kind: kindNames[op.Kind], Cmd: cmd})
+	c.gw.Submit(Request{Read: op.Kind == OpRead, Cmd: cmd})
+	return c.gw.Tick(0)
 }
 
 // Handle implements proto.Machine.
 func (c *Client) Handle(from ident.ProcessID, in msg.Msg) []proto.Output {
-	switch v := in.(type) {
-	case msg.Wakeup:
+	if _, ok := in.(msg.Wakeup); ok {
 		return c.startNext()
-	case msg.Decide:
-		return c.onDecide(from, v)
-	case msg.CnfRep:
-		return c.onCnfRep(from, v)
-	default:
-		return nil
 	}
-}
-
-func (c *Client) isReplica(p ident.ProcessID) bool {
-	for _, r := range c.cfg.Replicas {
-		if r == p {
-			return true
-		}
-	}
-	return false
-}
-
-// onDecide collects decide notifications that include the current
-// command from distinct replicas.
-func (c *Client) onDecide(from ident.ProcessID, d msg.Decide) []proto.Output {
-	if c.phase != phaseAwaitDecide || !c.isReplica(from) || !d.Value.Contains(c.curCmd) {
-		return nil
-	}
-	c.deciders.Add(from)
-	dig := d.Value.Digest()
-	if _, ok := c.candidates[dig]; !ok {
-		c.candidates[dig] = d.Value
-	}
-	if c.deciders.Len() < core.ReadQuorum(c.cfg.F) {
-		return nil
-	}
-	if c.current.Kind == OpUpdate {
-		// Update completes (Alg 5 line 4).
-		return c.finish(lattice.Empty())
-	}
-	// Read: confirm each candidate decision value with all replicas
-	// (Alg 6 lines 7-8).
-	c.phase = phaseAwaitConfirm
-	var outs []proto.Output
-	for _, v := range c.sortedCandidates() {
-		for _, r := range c.cfg.Replicas {
-			outs = append(outs, proto.Send(r, msg.CnfReq{Value: v}))
+	outs := c.gw.Handle(from, in)
+	for _, r := range c.gw.TakeReports() {
+		if r.Kind == Confirmed || (r.Kind == Decided && c.cur.Kind == OpUpdate) {
+			c.cur.Value = r.Value
+			c.results = append(c.results, *c.cur)
+			c.Emit(proto.ClientDoneEvent{Proc: c.cfg.Self, OpID: c.cur.ID, Kind: kindNames[c.cur.Kind], Value: r.Value})
+			c.cur = nil
+			if !c.cfg.Paced {
+				outs = append(outs, c.startNext()...)
+			}
 		}
 	}
 	return outs
-}
-
-func (c *Client) sortedCandidates() []lattice.Set {
-	out := make([]lattice.Set, 0, len(c.candidates))
-	for _, v := range c.candidates {
-		out = append(out, v)
-	}
-	// Deterministic order: smaller values first (ties broken by digest)
-	// so the returned read is the earliest confirmed state.
-	less := func(a, b lattice.Set) bool {
-		if a.Len() != b.Len() {
-			return a.Len() < b.Len()
-		}
-		return a.Key() < b.Key()
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// onCnfRep counts confirmations; f+1 for the same value completes the
-// read (Alg 6 lines 9-12).
-func (c *Client) onCnfRep(from ident.ProcessID, rep msg.CnfRep) []proto.Output {
-	if c.phase != phaseAwaitConfirm || c.confirmed || !c.isReplica(from) {
-		return nil
-	}
-	dig := rep.Value.Digest()
-	if _, ok := c.candidates[dig]; !ok {
-		return nil // not a value we asked about
-	}
-	set := c.confirmers[dig]
-	if set == nil {
-		set = ident.NewSet()
-		c.confirmers[dig] = set
-	}
-	set.Add(from)
-	if set.Len() < core.ReadQuorum(c.cfg.F) {
-		return nil
-	}
-	c.confirmed = true
-	return c.finish(rep.Value)
-}
-
-func (c *Client) finish(value lattice.Set) []proto.Output {
-	kind := "update"
-	if c.current.Kind == OpRead {
-		kind = "read"
-	}
-	c.results = append(c.results, OpResult{ID: c.curID, Kind: c.current.Kind, Cmd: c.curCmd, Value: value})
-	c.Emit(proto.ClientDoneEvent{Proc: c.cfg.Self, OpID: c.curID, Kind: kind, Value: value})
-	c.phase = phaseIdle
-	if c.cfg.Paced {
-		return nil
-	}
-	return c.startNext()
 }

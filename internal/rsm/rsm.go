@@ -9,6 +9,7 @@
 package rsm
 
 import (
+	"strconv"
 	"strings"
 
 	"bgla/internal/compact"
@@ -77,7 +78,7 @@ func MaxSeq(client ident.ProcessID, s lattice.Set) int {
 			sep = "|"
 		}
 		if i := strings.LastIndex(it.Body, sep); i >= 0 {
-			if v, ok := atoi(it.Body[i+1:]); ok && v > max {
+			if v, err := strconv.Atoi(it.Body[i+1:]); err == nil && v > max {
 				max = v
 			}
 		}
@@ -86,44 +87,7 @@ func MaxSeq(client ident.ProcessID, s lattice.Set) int {
 	return max
 }
 
-func atoi(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	v := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int(c-'0')
-		if v < 0 { // overflow
-			return 0, false
-		}
-	}
-	return v, true
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func itoa(v int) string { return strconv.Itoa(v) }
 
 // ReplicaConfig configures one RSM replica.
 type ReplicaConfig struct {

@@ -31,8 +31,9 @@ func runTracedScenario(t *testing.T, seed int64) *obs.Tracer {
 		Replicas: 4, Faulty: 1, Seed: seed, CheckpointEvery: 8,
 		Obs: ObsConfig{
 			ConsensusTrace: tr,
-			// The Clock is only consulted during delivery, after the
-			// NewTransport hook has run, so the closure is safe.
+			// The Clock is first consulted after the NewTransport hook
+			// has run (deliveries, pipeline enqueue stamps), so the
+			// closure is safe.
 			Clock: obs.ClockFunc(func() uint64 { return net.Now() }),
 		},
 		Hooks: &ServiceHooks{

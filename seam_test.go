@@ -26,9 +26,7 @@ var wallClockFuncs = map[string]bool{
 // disturb it). Shrink it as uses move onto obs.Clock; an entry that no
 // longer matches anything fails the test so the list cannot go stale.
 var wallClockAllowed = map[string]bool{
-	"internal/batch/batch.go time.Now":         true, // enqueue stamp for OpTimeout
-	"internal/batch/batch.go time.Since":       true, // OpTimeout remaining at launch
-	"internal/batch/batch.go time.AfterFunc":   true, // flight expiry
+	"internal/batch/batch.go time.AfterFunc":   true, // flight expiry tick
 	"store.go time.NewTimer":                   true, // scan retry backoff
 	"internal/faultnet/faultnet.go time.Sleep": true, // admission stability window
 }
