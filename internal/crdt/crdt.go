@@ -222,6 +222,31 @@ func CounterView(s lattice.Set) int64 {
 	return total
 }
 
+// ParsePut decodes a put command body (PutCmd, with or without a
+// uniqueness suffix); ok is false for any other body.
+func ParsePut(body string) (key, value string, stamp uint64, ok bool) {
+	tag, rest, ok := strings.Cut(stripUnique(body), "|")
+	if !ok || tag != tagPut {
+		return "", "", 0, false
+	}
+	stampStr, rest, ok := strings.Cut(rest, "|")
+	if !ok {
+		return "", "", 0, false
+	}
+	stamp, err := strconv.ParseUint(stampStr, 10, 64)
+	if err != nil {
+		return "", "", 0, false
+	}
+	key, rawValue, ok := unescapeKeySplit(rest)
+	if !ok {
+		return "", "", 0, false
+	}
+	if value, ok = unescapeTail(rawValue); !ok {
+		return "", "", 0, false
+	}
+	return key, value, stamp, true
+}
+
 // MapView folds put commands into a last-writer-wins map: for each key
 // the write with the highest (stamp, body) pair wins.
 func MapView(s lattice.Set) map[string]string {
@@ -232,23 +257,7 @@ func MapView(s lattice.Set) map[string]string {
 	}
 	best := map[string]winner{}
 	s.Each(func(it lattice.Item) bool {
-		tag, rest, ok := strings.Cut(stripUnique(it.Body), "|")
-		if !ok || tag != tagPut {
-			return true
-		}
-		stampStr, rest2, ok := strings.Cut(rest, "|")
-		if !ok {
-			return true
-		}
-		stamp, err := strconv.ParseUint(stampStr, 10, 64)
-		if err != nil {
-			return true
-		}
-		key, rawValue, ok := unescapeKeySplit(rest2)
-		if !ok {
-			return true
-		}
-		value, ok := unescapeTail(rawValue)
+		key, value, stamp, ok := ParsePut(it.Body)
 		if !ok {
 			return true
 		}

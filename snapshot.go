@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"bgla/internal/crdt"
+	"bgla/internal/lattice"
+	"bgla/internal/wal"
 )
 
 // Snapshot is a Byzantine-tolerant atomic snapshot object, the
@@ -22,7 +24,7 @@ import (
 //
 // Memory model: the writer-side state is one global stamp counter
 // (stamps are globally monotone per writer, so no per-component state
-// is needed). The replicated state itself grows with the command
+// is needed), seeded past every recovered put when DataDir is set. The replicated state itself grows with the command
 // history; enable ServiceConfig.CheckpointEvery to fold the decided
 // prefix into checkpoints and keep the cluster's resident state
 // O(window).
@@ -39,7 +41,27 @@ func NewSnapshot(cfg ServiceConfig) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{svc: svc}, nil
+	return &Snapshot{svc: svc, stamp: recoveredStamp(svc.st.pers)}, nil
+}
+
+// recoveredStamp is the highest put stamp in any recovered replica
+// state (0 without a DataDir). A restarted writer must stamp past it:
+// the LWW view keeps the highest stamp, so a reused stamp would leave a
+// completed write invisible (recoveredSeq is the same rule for client
+// sequences).
+func recoveredStamp(pers []*wal.Persister) uint64 {
+	var max uint64
+	for _, p := range pers {
+		if rec := p.Recovered(); rec != nil {
+			rec.Decided().Each(func(it lattice.Item) bool {
+				if _, _, st, ok := crdt.ParsePut(it.Body); ok && st > max {
+					max = st
+				}
+				return true
+			})
+		}
+	}
+	return max
 }
 
 // Close shuts the underlying cluster down.

@@ -105,3 +105,31 @@ func TestSnapshotWithMuteReplica(t *testing.T) {
 		t.Fatalf("String = %s", snap.String())
 	}
 }
+
+func TestSnapshotRestartKeepsLaterWrite(t *testing.T) {
+	// A restarted writer must stamp past the recovered puts: the LWW
+	// view keeps the highest stamp, so a write restamped from 1 would
+	// complete and stay invisible behind the old "a3".
+	cfg := ServiceConfig{Replicas: 4, Faulty: 1, DataDir: t.TempDir(), SyncMode: "record"}
+	s, err := NewSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"a1", "a2", "a3"} {
+		if err := s.Update("c", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s, err = NewSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Update("c", "b1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ScanComponent("c"); err != nil || got != "b1" {
+		t.Fatalf("after restart ScanComponent(c) = %q, %v; want b1", got, err)
+	}
+}
