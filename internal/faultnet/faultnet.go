@@ -225,13 +225,6 @@ func (n *Net) Now() uint64 {
 	return n.now
 }
 
-// Steps returns the number of deliveries processed so far.
-func (n *Net) Steps() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.steps
-}
-
 // Start launches the dispatcher; machine Start outputs are sequenced
 // before any delivery, in ascending ID order.
 //

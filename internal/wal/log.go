@@ -338,14 +338,6 @@ func (l *Log) removeCovered(name string) {
 	}
 }
 
-// Flush forces any group-buffered records to disk.
-func (l *Log) Flush() error {
-	if l.broken != nil {
-		return l.broken
-	}
-	return l.sync()
-}
-
 // Close flushes and closes the active segment.
 func (l *Log) Close() error {
 	if l.cur == nil {
