@@ -355,7 +355,7 @@ func (p *Pipeline) collect() {
 		now := p.cfg.Clock.Now()
 		outs := append(p.outbox, p.gw.Tick(now)...)
 		p.outbox = nil
-		p.settle()
+		done := p.settle()
 		if d, ok := p.gw.NextDeadline(); ok && d != p.armed {
 			p.armed = d
 			p.timer.Reset(time.Duration(d - min(d, now)))
@@ -365,6 +365,7 @@ func (p *Pipeline) collect() {
 			in = nil
 		}
 		p.mu.Unlock()
+		complete(done)
 		for _, o := range outs {
 			p.send.Send(o.To, o.Msg)
 		}
@@ -381,7 +382,11 @@ func (p *Pipeline) collect() {
 }
 
 // dispatch feeds replica notifications to the machine and wakes
-// collect when that leaves sends or launches due.
+// collect when that leaves sends or launches due. It releases the
+// callers a reply completes only after that wake-up, so a caller that
+// resubmits at once is scheduled ahead of collect and joins the flight
+// collect launches into the freed slot, instead of queueing behind it
+// for the next one.
 func (p *Pipeline) dispatch() {
 	defer p.wg.Done()
 	for {
@@ -389,12 +394,13 @@ func (p *Pipeline) dispatch() {
 		case r := <-p.replies:
 			p.mu.Lock()
 			p.outbox = append(p.outbox, p.gw.Handle(r.from, r.m)...)
-			p.settle()
+			done := p.settle()
 			due := len(p.outbox) > 0 || p.gw.Queued() > 0 && p.gw.InFlight() < p.cfg.MaxInFlight
 			p.mu.Unlock()
 			if due {
 				p.poke()
 			}
+			complete(done)
 		case <-p.closed:
 			return
 		}
@@ -409,10 +415,13 @@ func (p *Pipeline) poke() {
 	}
 }
 
-// settle applies the machine's reports and completes the operations
-// they name; the caller holds p.mu.
-func (p *Pipeline) settle() {
-	for _, r := range p.gw.TakeReports() {
+// settle applies the machine's reports to the instruments and returns
+// those that complete operations, for complete once p.mu is released;
+// the caller holds p.mu.
+func (p *Pipeline) settle() []rsm.Report {
+	reps := p.gw.TakeReports()
+	done := reps[:0]
+	for _, r := range reps {
 		switch r.Kind {
 		case rsm.Launched:
 			p.cFlights.Inc()
@@ -433,6 +442,17 @@ func (p *Pipeline) settle() {
 		if r.Kind != rsm.Expired {
 			p.cDecided.Add(uint64(len(r.Refs)))
 		}
+		if len(r.Refs) > 0 {
+			done = append(done, r)
+		}
+	}
+	return done
+}
+
+// complete hands each report to the operations it names (each Ref is
+// buffered(1) and completed once, so this never blocks).
+func complete(done []rsm.Report) {
+	for _, r := range done {
 		for _, ref := range r.Refs {
 			ref.(chan rsm.Report) <- r
 		}
