@@ -270,13 +270,14 @@ func SolveGeneralized(cfg GenConfig) (*GenReport, error) {
 	}
 	machines := make([]proto.Machine, 0, cfg.N)
 	seqOf := map[int]func() []lattice.Set{}
-	inputOf := map[int]func() lattice.Set{}
+	inputs := map[ident.ProcessID]lattice.Set{}
 	for i := 0; i < cfg.N; i++ {
 		id := ident.ProcessID(i)
 		seed := make([]lattice.Item, 0, len(cfg.Values[i]))
 		for _, body := range cfg.Values[i] {
 			seed = append(seed, lattice.Item{Author: id, Body: body})
 		}
+		inputs[id] = lattice.FromItems(seed...) // no NewValue arrives
 		switch cfg.Algorithm {
 		case GWTS:
 			m, err := gwts.New(gwts.Config{Self: id, N: cfg.N, F: cfg.F, InitialValues: seed, MinRounds: cfg.MinRounds})
@@ -285,7 +286,6 @@ func SolveGeneralized(cfg GenConfig) (*GenReport, error) {
 			}
 			machines = append(machines, m)
 			seqOf[i] = m.Decisions
-			inputOf[i] = m.Inputs
 		case GSbS:
 			m, err := sbs.NewG(sbs.GConfig{Self: id, N: cfg.N, F: cfg.F, Keychain: kc, InitialValues: seed, MinRounds: cfg.MinRounds})
 			if err != nil {
@@ -293,7 +293,6 @@ func SolveGeneralized(cfg GenConfig) (*GenReport, error) {
 			}
 			machines = append(machines, m)
 			seqOf[i] = m.Decisions
-			inputOf[i] = m.Inputs
 		}
 	}
 	res := faultnet.New(machines, faultnet.Options{Seed: cfg.Seed}).Run(faultnet.Limits{MaxTime: cfg.MaxVirtualTime})
@@ -301,12 +300,11 @@ func SolveGeneralized(cfg GenConfig) (*GenReport, error) {
 	rep := &GenReport{DecisionSeqs: map[int][][]Item{}, Final: map[int][]Item{}}
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
-		Inputs:       map[ident.ProcessID]lattice.Set{},
+		Inputs:       inputs,
 	}
 	for i := 0; i < cfg.N; i++ {
 		seq := seqOf[i]()
 		run.DecisionSeqs[ident.ProcessID(i)] = seq
-		run.Inputs[ident.ProcessID(i)] = inputOf[i]()
 		for _, d := range seq {
 			rep.DecisionSeqs[i] = append(rep.DecisionSeqs[i], fromLatticeSet(d))
 		}

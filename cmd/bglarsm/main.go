@@ -244,7 +244,7 @@ func run(n, f, shards, ops, conc, batchSize, inflight int, datadir, fsync, debug
 		}
 		nodes = append(nodes, node)
 		if d != nil {
-			d.SetSend(node.Send, false)
+			d.SetSend(node.Send)
 			demuxes = append(demuxes, d)
 		} else {
 			go progress[i].follow(node.Events())

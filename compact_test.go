@@ -171,16 +171,18 @@ func TestCrashMidCheckpointRejoins(t *testing.T) {
 	var old *gwts.Machine
 	sc := scenarioConfig{
 		replicas: 4, faulty: 1, ckptEvery: every,
-		restartable: [][2]int{{0, 3}},
 		sched: func(h *harness) *faultnet.Schedule {
 			old = h.reps[0][3]
-			s := &faultnet.Schedule{}
+			// Traffic to the victim lags, so its peers' countersignatures
+			// reach it late: its own countersignature reaches an initiator
+			// before the victim can complete a certificate of its own.
+			s := &faultnet.Schedule{Ops: []faultnet.Op{faultnet.NewLag(0, 0, 3, 4)}}
 			s.On("crash-between-sign-and-install",
 				func(from, to ident.ProcessID, m msg.Msg) bool {
 					_, isSig := m.(msg.CkptSig)
 					return isSig && from == 3
 				},
-				func(api faultnet.ActionAPI) { h.wrappers[0][3].Crash() })
+				func(faultnet.ActionAPI) { h.crash(0, 3) })
 			return s
 		},
 	}

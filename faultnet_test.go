@@ -1,17 +1,19 @@
 package bgla
 
 // The deterministic full-stack fault-injection scenario suite: the
-// public Service and Store run unmodified on the internal/faultnet
-// harness via the ServiceHooks seam, under scripted fault schedules —
-// reordering, duplication, healing partitions, lag, crash-restart with
-// checkpoint state transfer — and with *active* Byzantine replicas
-// (internal/byz) lifted into full-stack replica slots. Every scenario
-// is replayed twice and must produce byte-identical event traces
-// (same seed ⇒ same run), and a post-run invariant checker validates
-// the paper's guarantees: total order of confirmed reads and Scans,
-// comparability + inclusivity of decided values per shard, update
-// visibility, and checkpoint-chain digest validity. DESIGN.md §7
-// documents the architecture.
+// cluster NewStore builds (newCluster — every replica slot, WAL logs,
+// mutes and WrapReplica adversaries included) runs on internal/faultnet's
+// closed-world Run with one rsm.Gateway client machine per shard, under
+// scripted fault schedules — reordering, duplication, healing
+// partitions, lag, crash-restart with checkpoint state transfer — and
+// with *active* Byzantine replicas (internal/byz) in full-stack replica
+// slots. Everything runs on the test goroutine, one operation at a
+// time, so every scenario replays byte-identically from its seed; the
+// suite runs each twice and compares the event traces. A post-run
+// invariant checker validates the paper's guarantees: total order of
+// confirmed reads, comparability + inclusivity of decided values per
+// shard, update visibility, and checkpoint-chain digest validity.
+// DESIGN.md §7 documents the architecture.
 //
 // Replay: every randomized entry point takes -seed (and the explorer
 // additionally -faultnet.ops to replay a shrunk schedule mask).
@@ -20,11 +22,12 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"bgla/internal/byz"
-	"bgla/internal/compact"
+	"bgla/internal/chanet"
 	"bgla/internal/core/gwts"
 	"bgla/internal/faultnet"
 	"bgla/internal/ident"
@@ -43,35 +46,41 @@ var (
 	opsFlag  = flag.Uint64("faultnet.ops", ^uint64(0), "fault-op bitmask for explorer replay (printed by a failing explorer run)")
 )
 
-// harness wires one Service or Store onto the deterministic network
-// and accumulates run observations for the invariant checker.
+// harness runs one cluster on the closed-world network and accumulates
+// run observations for the invariant checker.
 type harness struct {
 	t    *testing.T
 	seed int64
 
-	svc   *Service
-	store *Store
+	c     *cluster
+	kc    sig.Keychain // cfg.keychain(): nil without compaction
 	net   *faultnet.Net
 	trace *faultnet.Trace
 	obs   *faultnet.RunObs
-	kc    sig.Keychain
+
+	// gws[s] is shard s's client machine; at S > 1 they sit in one
+	// shardMux at clientID, and muxes[i] hosts replica process i's
+	// shard slots.
+	gws   []*rsm.Gateway
+	muxes []*shardMux
 
 	// reps[shard][slot] is the gwts machine currently serving that
-	// slot (updated on restart); wrappers[shard][slot] its Restartable.
+	// slot (updated on restart); down marks crashed slots; received[s]
+	// collects the NewValues delivered to live slots of shard s.
 	reps     map[int]map[int]*gwts.Machine
-	wrappers map[int]map[int]*compact.Restartable
+	down     map[[2]int]bool
+	received []faultnet.Received
 
 	// Durable-storage state (scenarios with cfg.durable): the shared
 	// deterministic filesystem, per-slot fault hooks, the persister
 	// currently serving each slot, and the persisters swapped in by
-	// restart (closed at finish — Service.Close only knows the
-	// originals).
+	// restart.
 	mfs       *wal.MemFS
 	walHooks  map[[2]int]*wal.Hooks
 	pers      map[int]map[int]*wal.Persister
 	freshPers []*wal.Persister
 
-	updates int // mirrors the Service/Store sequence counter
+	updates int // updates submitted since launch
 }
 
 // storHook returns the (memoized) storage fault hooks for one slot, so
@@ -87,7 +96,7 @@ func (h *harness) storHook(shard, slot int) *wal.Hooks {
 
 // scenarioConfig declares one scenario's cluster and faults.
 type scenarioConfig struct {
-	shards    int // 0/1 = unsharded Service
+	shards    int // 0/1 = unsharded
 	replicas  int
 	faulty    int
 	ckptEvery int
@@ -98,51 +107,35 @@ type scenarioConfig struct {
 	// adversary, when non-nil, may replace the machine of (shard,
 	// slot); return nil to keep the correct replica.
 	adversary func(h *harness, shard, slot int, correct proto.Machine) proto.Machine
-	// restartable lists (shard, slot) pairs to wrap for crash-restart.
-	restartable [][2]int
-	mutes       []int
+	mutes     []int
 	// durable runs every replica on the WAL storage engine over a
-	// deterministic in-memory filesystem (wal.MemFS); restartable slots
-	// then restart *from disk* (see restart). syncMode is the
-	// fsync policy ("" = group commit).
+	// deterministic in-memory filesystem (mfs, or a fresh wal.MemFS);
+	// restart then rehydrates from disk. syncMode is the fsync policy
+	// ("" = group commit).
 	durable  bool
 	syncMode string
+	mfs      *wal.MemFS
+	// obs is the cluster's observability wiring (the harness supplies
+	// the virtual clock).
+	obs ObsConfig
 }
 
-// launch builds the stack on the harness network.
+// launch builds the cluster and the network.
 func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 	t.Helper()
 	h := &harness{
 		t: t, seed: seed, trace: &faultnet.Trace{},
 		reps:     map[int]map[int]*gwts.Machine{},
-		wrappers: map[int]map[int]*compact.Restartable{},
+		down:     map[[2]int]bool{},
 		pers:     map[int]map[int]*wal.Persister{},
 		walHooks: map[[2]int]*wal.Hooks{},
 		obs:      &faultnet.RunObs{N: sc.replicas, F: sc.faulty},
-	}
-	if sc.durable {
-		h.mfs = wal.NewMemFS()
-	}
-	if sc.ckptEvery > 0 {
-		h.kc = sig.NewSim(sc.replicas, seed+0x5eed)
-		h.obs.Keychain = h.kc
 	}
 	maxDelay := sc.maxDelay
 	if maxDelay == 0 {
 		maxDelay = 3
 	}
 	hooks := &ServiceHooks{
-		NewTransport: func(machines []proto.Machine, opts TransportOptions) Transport {
-			var sched *faultnet.Schedule
-			if sc.sched != nil {
-				sched = sc.sched(h) // wrappers/reps exist by now
-			}
-			h.net = faultnet.New(machines, faultnet.Options{
-				Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: maxDelay},
-				Schedule: sched, Trace: h.trace,
-			})
-			return h.net
-		},
 		WrapReplica: func(shard, slot int, m proto.Machine) proto.Machine {
 			inner := m
 			if p, ok := m.(*wal.Persister); ok {
@@ -166,16 +159,6 @@ func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 					return adv
 				}
 			}
-			for _, rs := range sc.restartable {
-				if rs[0] == shard && rs[1] == slot {
-					w := compact.NewRestartable(m)
-					if h.wrappers[shard] == nil {
-						h.wrappers[shard] = map[int]*compact.Restartable{}
-					}
-					h.wrappers[shard][slot] = w
-					return w
-				}
-			}
 			return nil
 		},
 	}
@@ -184,126 +167,246 @@ func launch(t *testing.T, seed int64, sc scenarioConfig) *harness {
 		MuteReplicas:    sc.mutes,
 		Seed:            seed,
 		CheckpointEvery: sc.ckptEvery,
+		Obs:             sc.obs,
 		Hooks:           hooks,
 	}
+	cfg.Obs.Clock = obs.ClockFunc(func() uint64 { return h.net.Now() })
 	if sc.durable {
+		h.mfs = sc.mfs
+		if h.mfs == nil {
+			h.mfs = wal.NewMemFS()
+		}
 		cfg.DataDir = "data"
 		cfg.SyncMode = sc.syncMode
 		hooks.Storage = &StorageHooks{FS: h.mfs, Hooks: h.storHook}
 	}
-	if sc.shards > 1 {
-		st, err := NewStore(ShardedConfig{Shards: sc.shards, ServiceConfig: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.store = st
-	} else {
-		svc, err := NewService(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.svc = svc
+	h.kc = cfg.keychain() // adversaries built inside newCluster may need it
+	h.obs.Keychain = h.kc
+	c, err := newCluster(ShardedConfig{Shards: sc.shards, ServiceConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
+	h.c = c
+	shards := c.cfg.Shards
+	var machines []proto.Machine
+	for s := 0; s < shards; s++ {
+		h.gws = append(h.gws, rsm.NewGateway(rsm.GatewayConfig{
+			Self: clientID, F: sc.faulty,
+			Replicas: ident.Range(sc.replicas), SubmitTo: c.submitTo[s],
+			MaxBatch: 1, MaxInFlight: 1, // one operation at a time
+			StartSeq: c.startSeq,
+		}))
+		h.received = append(h.received, faultnet.Received{})
+	}
+	if shards == 1 {
+		machines = append(machines, h.gws[0])
+		for _, subs := range c.slots {
+			machines = append(machines, subs[0])
+		}
+	} else {
+		client := &shardMux{id: clientID, started: make([]bool, shards)}
+		for _, gw := range h.gws {
+			client.subs = append(client.subs, gw)
+		}
+		machines = append(machines, client)
+		for i, subs := range c.slots {
+			mx := &shardMux{id: ident.ProcessID(i), subs: subs, started: make([]bool, len(subs))}
+			h.muxes = append(h.muxes, mx)
+			machines = append(machines, mx)
+		}
+	}
+	var sched *faultnet.Schedule
+	if sc.sched != nil {
+		sched = sc.sched(h) // reps exist by now
+	}
+	h.net = faultnet.New(machines, faultnet.Options{
+		Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: maxDelay},
+		Schedule: sched, Trace: h.trace, Transcode: h.record,
+	})
 	return h
 }
 
-// update submits one command sequentially and records it for the
-// visibility check (mirroring the stack's sequence counter).
-func (h *harness) update(body string) {
-	h.t.Helper()
-	var err error
-	if h.store != nil {
-		err = h.store.Update(body)
-	} else {
-		err = h.svc.Update(body)
-	}
-	if err != nil {
-		h.t.Fatalf("seed %d: update %q: %v", h.seed, body, err)
-	}
-	h.updates++
-	h.obs.Submitted = append(h.obs.Submitted, rsm.UniqueCmd(clientID, h.updates, body))
+// shardMux hosts one process's S shard machines on the net: it unwraps
+// the shard envelope for the addressed sub-machine and wraps that
+// machine's outputs back into it. Start starts the sub-machines not
+// started yet, so a restart swaps one in and replaces the mux.
+type shardMux struct {
+	id      ident.ProcessID
+	subs    []proto.Machine
+	started []bool
 }
 
-// read takes a confirmed read (Scan on a Store) and records it.
+func (x *shardMux) ID() ident.ProcessID { return x.id }
+
+func (x *shardMux) Start() []proto.Output {
+	var outs []proto.Output
+	for s, sub := range x.subs {
+		if !x.started[s] {
+			x.started[s] = true
+			outs = append(outs, envelope(s, sub.Start())...)
+		}
+	}
+	return outs
+}
+
+func (x *shardMux) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
+	sm, ok := m.(msg.ShardMsg)
+	if !ok || sm.Shard < 0 || sm.Shard >= len(x.subs) || sm.Inner == nil {
+		return nil
+	}
+	return envelope(sm.Shard, x.subs[sm.Shard].Handle(from, sm.Inner))
+}
+
+// TakeEvents implements proto.EventSource over the sub-machines.
+func (x *shardMux) TakeEvents() []proto.Event {
+	var evs []proto.Event
+	for _, sub := range x.subs {
+		evs = append(evs, proto.DrainEvents(sub)...)
+	}
+	return evs
+}
+
+// envelope wraps shard s's outputs in the shard envelope.
+func envelope(s int, outs []proto.Output) []proto.Output {
+	for i, o := range outs {
+		if o.Msg != nil {
+			outs[i].Msg = msg.ShardMsg{Shard: s, Inner: o.Msg}
+		}
+	}
+	return outs
+}
+
+// record is the net's Transcode hook: it notes every NewValue delivered
+// to a live replica slot — Inclusivity's "received" — and passes the
+// message on unchanged.
+func (h *harness) record(from, to ident.ProcessID, m msg.Msg) msg.Msg {
+	s, inner := 0, m
+	if sm, ok := m.(msg.ShardMsg); ok {
+		s, inner = sm.Shard, sm.Inner
+	}
+	if s >= 0 && s < len(h.received) && !h.down[[2]int{s, int(to)}] {
+		h.received[s].Record(from, to, inner)
+	}
+	return m
+}
+
+// op hands one request to shard s's gateway, sends what the gateway
+// launches, and runs the net until the request completes. It returns
+// the completing report.
+func (h *harness) op(s int, r rsm.Request) rsm.Report {
+	h.t.Helper()
+	gw, ref := h.gws[s], new(int)
+	r.Ref = ref
+	gw.Submit(r)
+	outs := gw.Tick(h.net.Now())
+	if len(h.gws) > 1 {
+		outs = envelope(s, outs)
+	}
+	for _, o := range outs {
+		h.net.Send(clientID, o.To, o.Msg)
+	}
+	var done *rsm.Report
+	h.net.Run(faultnet.Limits{Until: func() bool {
+		for _, rep := range gw.TakeReports() {
+			if (rep.Kind == rsm.Decided || rep.Kind == rsm.Confirmed) && slices.Contains(rep.Refs, any(ref)) {
+				done = &rep
+			}
+		}
+		return done != nil
+	}})
+	if done == nil {
+		h.t.Fatalf("seed %d: shard %d operation never completed; the net drained at t=%d", h.seed, s, h.net.Now())
+	}
+	return *done
+}
+
+// update submits one command, routed and made unique as Store.Update
+// does, runs it to its decision and records it for the visibility
+// check.
+func (h *harness) update(body string) {
+	h.t.Helper()
+	h.updates++
+	seq := h.c.startSeq + uint64(h.updates)
+	cmd := rsm.UniqueCmd(clientID, int(seq), body)
+	h.op(shard.Route(body, seq, len(h.gws)), rsm.Request{Cmd: cmd})
+	h.obs.Submitted = append(h.obs.Submitted, cmd)
+}
+
+// read takes a confirmed read of every shard, in shard order, merges
+// the nop-stripped views and records the result.
 func (h *harness) read() []Item {
 	h.t.Helper()
+	views := make([]lattice.Set, len(h.gws))
+	for s := range h.gws {
+		views[s] = rsm.StripNops(h.op(s, rsm.Request{Read: true}).Value)
+	}
 	var items []Item
-	var err error
-	if h.store != nil {
-		items, err = h.store.Scan()
-	} else {
-		items, err = h.svc.Read()
-	}
-	if err != nil {
-		h.t.Fatalf("seed %d: read: %v", h.seed, err)
-	}
+	lattice.EachMerged(views, func(it lattice.Item) bool {
+		items = append(items, Item{Author: int(it.Author), Body: it.Body})
+		return true
+	})
 	h.obs.AddRead(toLatticeItems(items))
 	return items
 }
 
-// quiesce drains the network (a deterministic cut point).
-func (h *harness) quiesce() { h.net.Quiesce() }
+// quiesce runs the network until nothing is left to deliver.
+func (h *harness) quiesce() { h.net.Run(faultnet.Limits{}) }
 
-// restart swaps a fresh replica into a crashed slot and kicks it. The
-// replica is built the way the stack builds every slot (newReplica):
-// on a durable scenario it is rehydrated from its WAL + persisted
-// checkpoint on the harness MemFS — the restart path a real process
-// takes — otherwise it starts empty and must catch up via checkpoint
-// state transfer. Call only at a quiesced point (the swap is then a
-// deterministic event). Returns the fresh machine; a durable slot's
-// persister is h.pers[shard][slot].
+// swap puts m in a slot through the net: at S = 1 the slot's machine
+// is on the net itself, otherwise its process's mux starts m.
+func (h *harness) swap(shard, slot int, m proto.Machine) {
+	if h.muxes == nil {
+		h.net.Replace(m)
+		return
+	}
+	mx := h.muxes[slot]
+	mx.subs[shard], mx.started[shard] = m, false
+	h.net.Replace(mx)
+}
+
+// crash takes a slot down: a silent machine takes its place, like a
+// wedged host. Schedule actions may call it mid-run.
+func (h *harness) crash(shard, slot int) {
+	h.down[[2]int{shard, slot}] = true
+	h.swap(shard, slot, &muteMachine{id: ident.ProcessID(slot)})
+}
+
+// restart swaps a fresh replica into a crashed slot; the net sequences
+// its Start outputs. The replica is built the way the stack builds
+// every slot (newReplica): on a durable scenario it is rehydrated from
+// its WAL + persisted checkpoint on the harness MemFS — the restart
+// path a real process takes — otherwise it starts empty and must catch
+// up via checkpoint state transfer. Returns the fresh machine; a
+// durable slot's persister is h.pers[shard][slot].
 func (h *harness) restart(shard, slot int) *gwts.Machine {
 	h.t.Helper()
-	cfg := h.cluster().cfg
-	fresh, p, err := newReplica(cfg, h.kc, shard, slot)
+	fresh, p, err := newReplica(h.c.cfg, h.kc, shard, slot)
 	if err != nil {
 		h.t.Fatalf("seed %d: restart shard %d slot %d: %v", h.seed, shard, slot, err)
 	}
+	var m proto.Machine = fresh
 	if p != nil {
 		h.freshPers = append(h.freshPers, p)
 		h.pers[shard][slot] = p
-		h.wrappers[shard][slot].Swap(p)
-	} else {
-		h.wrappers[shard][slot].Swap(fresh)
+		m = p
 	}
 	h.reps[shard][slot] = fresh
-	kick := msg.Msg(msg.Wakeup{Tag: "rejoin"})
-	if cfg.Shards > 1 {
-		kick = msg.ShardMsg{Shard: shard, Inner: kick}
-	}
-	h.net.Inject(clientID, ident.ProcessID(slot), kick)
+	delete(h.down, [2]int{shard, slot})
+	h.swap(shard, slot, m)
 	return fresh
 }
 
-// cluster is the Store under test (a Service's one-shard Store).
-func (h *harness) cluster() *Store {
-	if h.store != nil {
-		return h.store
-	}
-	return h.svc.st
-}
-
-// finish quiesces, takes a final read, collects replica observations,
-// shuts the stack down, and returns the run observations.
+// finish quiesces, takes a final read, closes the durable logs,
+// collects replica observations and returns the run observations.
 func (h *harness) finish() *faultnet.RunObs {
 	h.t.Helper()
 	h.quiesce()
 	h.read()
 	h.quiesce()
-	if h.store != nil {
-		h.store.Close()
-	} else {
-		h.svc.Close()
-	}
-	// Close() only knows the launch-time persisters; close the ones
-	// swapped in by restart ourselves.
-	for _, p := range h.freshPers {
-		_ = p.Close()
-	}
-	// The transport has stopped: machine state is stable now.
+	h.closeLogs()
 	for shard, slots := range h.reps {
 		for _, r := range slots {
-			h.obs.AddReplica(shard, r.ID(), r.Decided(), r.Decisions(), r.Inputs())
+			h.obs.AddReplica(shard, r.ID(), r.Decided(), r.Decisions(), h.received[shard].Of(r.ID()))
 			if cert, ok := r.CheckpointCert(); ok {
 				base := r.CheckpointBase()
 				h.obs.Certs = append(h.obs.Certs, faultnet.CertObs{
@@ -314,6 +417,13 @@ func (h *harness) finish() *faultnet.RunObs {
 		}
 	}
 	return h.obs
+}
+
+// closeLogs closes the durable logs, the ones restart opened included.
+func (h *harness) closeLogs() {
+	for _, p := range append(h.c.pers, h.freshPers...) {
+		_ = p.Close()
+	}
 }
 
 // assertClean runs the invariant checker.
@@ -336,7 +446,7 @@ type fullStackScenario struct {
 }
 
 // mixedWorkload interleaves n sequential updates with periodic reads,
-// quiescing between operations to pin the admission points.
+// draining the network after each operation.
 func mixedWorkload(n int) func(h *harness) {
 	return func(h *harness) {
 		for k := 0; k < n; k++ {
@@ -389,13 +499,11 @@ var scenarios = []fullStackScenario{
 			}},
 		workload: func(h *harness) {
 			// No quiesce during the partition (draining would fast-forward
-			// virtual time past the heal); HoldLulls pins the heal jump
-			// behind the sequential ops. n-f=3 replicas decide alone.
-			h.net.HoldLulls(true)
+			// virtual time past the heal): each update runs only until it
+			// completes. n-f=3 replicas decide alone.
 			for k := 0; k < 8; k++ {
 				h.update(AddCmd(fmt.Sprintf("part-%02d", k)))
 			}
-			h.net.HoldLulls(false)
 			h.quiesce() // heal: p3 absorbs its backlog
 			h.read()
 			h.quiesce()
@@ -423,14 +531,13 @@ var scenarios = []fullStackScenario{
 	},
 	{
 		name: "crash-restart-state-transfer",
-		cfg: scenarioConfig{replicas: 4, faulty: 1, ckptEvery: 16,
-			restartable: [][2]int{{0, 3}}},
+		cfg:  scenarioConfig{replicas: 4, faulty: 1, ckptEvery: 16},
 		workload: func(h *harness) {
 			for k := 0; k < 20; k++ {
 				h.update(AddCmd(fmt.Sprintf("pre-%02d", k)))
 			}
 			h.quiesce()
-			h.wrappers[0][3].Crash()
+			h.crash(0, 3)
 			for k := 0; k < 20; k++ {
 				h.update(AddCmd(fmt.Sprintf("down-%02d", k)))
 			}
@@ -558,8 +665,7 @@ var scenarios = []fullStackScenario{
 	},
 	{
 		name: "store-crash-restart-state-transfer",
-		cfg: scenarioConfig{shards: 2, replicas: 4, faulty: 1, ckptEvery: 16,
-			restartable: [][2]int{{0, 3}, {1, 3}}},
+		cfg:  scenarioConfig{shards: 2, replicas: 4, faulty: 1, ckptEvery: 16},
 		workload: func(h *harness) {
 			spread := func(tag string, n int) {
 				for k := 0; k < n; k++ {
@@ -569,15 +675,12 @@ var scenarios = []fullStackScenario{
 			spread("pre", 24)
 			h.quiesce()
 			// Whole-process crash: p3 goes down in every shard.
-			h.wrappers[0][3].Crash()
-			h.wrappers[1][3].Crash()
+			h.crash(0, 3)
+			h.crash(1, 3)
 			spread("down", 24)
 			h.quiesce()
-			var fresh0, fresh1 *gwts.Machine
-			h.net.Atomically(func() {
-				fresh0 = h.restart(0, 3)
-				fresh1 = h.restart(1, 3)
-			})
+			fresh0 := h.restart(0, 3)
+			fresh1 := h.restart(1, 3)
 			h.quiesce()
 			spread("post", 32)
 			h.quiesce()
@@ -598,8 +701,7 @@ var scenarios = []fullStackScenario{
 		// intact (record-level fsync ⇒ power loss drops nothing).
 		name: "wal-cold-restart-no-peer",
 		cfg: scenarioConfig{replicas: 4, faulty: 1, ckptEvery: 12,
-			durable: true, syncMode: "record",
-			restartable: [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}},
+			durable: true, syncMode: "record"},
 		workload: func(h *harness) {
 			const n = 20
 			for k := 0; k < n; k++ {
@@ -607,14 +709,12 @@ var scenarios = []fullStackScenario{
 			}
 			h.quiesce()
 			for slot := 0; slot < 4; slot++ {
-				h.wrappers[0][slot].Crash()
+				h.crash(0, slot)
 			}
 			h.mfs.Crash("", true) // whole-machine power loss
-			h.net.Atomically(func() {
-				for slot := 0; slot < 4; slot++ {
-					h.restart(0, slot)
-				}
-			})
+			for slot := 0; slot < 4; slot++ {
+				h.restart(0, slot)
+			}
 			h.quiesce()
 			for slot := 0; slot < 4; slot++ {
 				rec := h.pers[0][slot].Recovered()
@@ -645,14 +745,14 @@ var scenarios = []fullStackScenario{
 		// state_req round-trips.
 		name: "wal-intact-restart-zero-transfer",
 		cfg: scenarioConfig{replicas: 4, faulty: 1, ckptEvery: 16,
-			durable: true, syncMode: "record", restartable: [][2]int{{0, 3}}},
+			durable: true, syncMode: "record"},
 		workload: func(h *harness) {
 			for k := 0; k < 16; k++ {
 				h.update(AddCmd(fmt.Sprintf("zt-%02d", k)))
 			}
 			h.quiesce()
 			// Process crash, not power loss: the disk keeps everything.
-			h.wrappers[0][3].Crash()
+			h.crash(0, 3)
 			h.mfs.Crash(wal.ReplicaDir("data", 0, 3), false)
 			fresh := h.restart(0, 3)
 			h.quiesce()
@@ -677,7 +777,7 @@ var scenarios = []fullStackScenario{
 		// transfer — local disk first, peers only for the gap.
 		name: "wal-torn-tail",
 		cfg: scenarioConfig{replicas: 4, faulty: 1, ckptEvery: 8,
-			durable: true, syncMode: "record", restartable: [][2]int{{0, 3}}},
+			durable: true, syncMode: "record"},
 		workload: func(h *harness) {
 			for k := 0; k < 10; k++ {
 				h.update(AddCmd(fmt.Sprintf("tt-%02d", k)))
@@ -697,7 +797,7 @@ var scenarios = []fullStackScenario{
 			if !torn {
 				h.t.Fatalf("seed %d: torn-write hook never fired", h.seed)
 			}
-			h.wrappers[0][3].Crash()
+			h.crash(0, 3)
 			h.mfs.Crash(wal.ReplicaDir("data", 0, 3), true)
 			for k := 0; k < 6; k++ {
 				h.update(AddCmd(fmt.Sprintf("tt-down-%02d", k)))
@@ -731,11 +831,7 @@ var scenarios = []fullStackScenario{
 		// per-replica data directories.
 		name: "store-wal-cold-restart",
 		cfg: scenarioConfig{shards: 2, replicas: 4, faulty: 1, ckptEvery: 12,
-			durable: true, syncMode: "record",
-			restartable: [][2]int{
-				{0, 0}, {0, 1}, {0, 2}, {0, 3},
-				{1, 0}, {1, 1}, {1, 2}, {1, 3},
-			}},
+			durable: true, syncMode: "record"},
 		workload: func(h *harness) {
 			const n = 16
 			for k := 0; k < n; k++ {
@@ -744,17 +840,15 @@ var scenarios = []fullStackScenario{
 			h.quiesce()
 			for s := 0; s < 2; s++ {
 				for slot := 0; slot < 4; slot++ {
-					h.wrappers[s][slot].Crash()
+					h.crash(s, slot)
 				}
 			}
 			h.mfs.Crash("", true)
-			h.net.Atomically(func() {
-				for s := 0; s < 2; s++ {
-					for slot := 0; slot < 4; slot++ {
-						h.restart(s, slot)
-					}
+			for s := 0; s < 2; s++ {
+				for slot := 0; slot < 4; slot++ {
+					h.restart(s, slot)
 				}
-			})
+			}
 			h.quiesce()
 			items := h.read() // cross-shard Scan over the reborn store
 			if got := len(SetView(items)); got != n {
@@ -841,76 +935,61 @@ func TestFaultnetScenarios(t *testing.T) {
 }
 
 // TestServiceIsOneShardStore: a Service is a Store with one shard.
-// One seeded workload — a mute replica, checkpoints, a durable MemFS
-// and confirmed reads — runs through NewService and through
-// NewStore{Shards: 1}: both must put the bare replicas on the
-// transport (no shard.Demux) and produce byte-identical delivery and
-// consensus traces.
+// NewService and NewStore{Shards: 1} must both put the gateway and the
+// bare replicas on the transport (no shard.Demux). Then one seeded
+// workload — a mute replica, checkpoints, a durable MemFS and confirmed
+// reads — runs on the closed-world harness over the cluster built from
+// a Service's config (Shards 0) and from a one-shard Store's: the two
+// must produce byte-identical delivery and consensus traces.
 func TestServiceIsOneShardStore(t *testing.T) {
 	seed := int64(3)
 	if *seedFlag != 0 {
 		seed = *seedFlag
 	}
-	run := func(viaStore bool) (*faultnet.Trace, *obs.Tracer) {
-		trace, cons := &faultnet.Trace{}, &obs.Tracer{}
-		var net *faultnet.Net
-		cfg := ServiceConfig{
-			Replicas: 4, Faulty: 1, MuteReplicas: []int{3}, Seed: seed,
-			CheckpointEvery: 8, DataDir: "data", SyncMode: "record",
-			Obs: ObsConfig{
-				ConsensusTrace: cons,
-				Clock:          obs.ClockFunc(func() uint64 { return net.Now() }),
-			},
-			Hooks: &ServiceHooks{
-				NewTransport: func(machines []proto.Machine, _ TransportOptions) Transport {
-					if len(machines) != 5 {
-						t.Errorf("transport got %d machines, want gateway + 4 replicas", len(machines))
-					}
-					for _, m := range machines {
-						if _, ok := m.(*shard.Demux); ok {
-							t.Errorf("S = 1 put a shard.Demux on the transport (replica %v)", m.ID())
-						}
-					}
-					net = faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}, Trace: trace})
-					return net
-				},
-				Storage: &StorageHooks{FS: wal.NewMemFS()},
-			},
+	bare := func(machines []proto.Machine, _ TransportOptions) Transport {
+		if len(machines) != 5 {
+			t.Errorf("transport got %d machines, want gateway + 4 replicas", len(machines))
 		}
-		var update func(string) error
-		var read func() ([]Item, error)
-		var stop func()
-		if viaStore {
-			st, err := NewStore(ShardedConfig{Shards: 1, ServiceConfig: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			update, stop = st.Update, st.Close
-			read = func() ([]Item, error) { return st.Read("") }
-		} else {
-			svc, err := NewService(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			update, read, stop = svc.Update, svc.Read, svc.Close
-		}
-		for k := 0; k < 24; k++ {
-			if err := update(AddCmd(fmt.Sprintf("one-%02d", k))); err != nil {
-				t.Fatalf("seed %d: update %d: %v", seed, k, err)
-			}
-			net.Quiesce()
-			if k%4 == 3 {
-				if _, err := read(); err != nil {
-					t.Fatalf("seed %d: read: %v", seed, err)
-				}
-				net.Quiesce()
+		for _, m := range machines {
+			if _, ok := m.(*shard.Demux); ok {
+				t.Errorf("S = 1 put a shard.Demux on the transport (replica %v)", m.ID())
 			}
 		}
-		stop()
-		return trace, cons
+		return chanet.New(machines, chanet.Options{})
 	}
-	svcTrace, svcCons := run(false)
-	stTrace, stCons := run(true)
+	cfg := ServiceConfig{Replicas: 4, Faulty: 1, MuteReplicas: []int{3}, Hooks: &ServiceHooks{NewTransport: bare}}
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	st, err := NewStore(ShardedConfig{Shards: 1, ServiceConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	run := func(shards int) (*faultnet.Trace, *obs.Tracer) {
+		cons := &obs.Tracer{}
+		h := launch(t, seed, scenarioConfig{
+			shards: shards, replicas: 4, faulty: 1, mutes: []int{3},
+			ckptEvery: 8, durable: true, syncMode: "record",
+			obs: ObsConfig{ConsensusTrace: cons},
+		})
+		for k := 0; k < 24; k++ {
+			h.update(AddCmd(fmt.Sprintf("one-%02d", k)))
+			h.quiesce()
+			if k%4 == 3 {
+				h.read()
+				h.quiesce()
+			}
+		}
+		h.finish()
+		h.assertClean()
+		return h.trace, cons
+	}
+	svcTrace, svcCons := run(0)
+	stTrace, stCons := run(1)
 	if d := faultnet.Diff(svcTrace, stTrace); d != "" {
 		t.Fatalf("seed %d: Service and one-shard Store delivery traces differ: %s", seed, d)
 	}
@@ -925,15 +1004,22 @@ func TestServiceIsOneShardStore(t *testing.T) {
 	t.Logf("%d deliveries, trace %s, %d consensus events", svcTrace.Lines(), svcTrace.Fingerprint(), svcCons.Len())
 }
 
+// explorerHorizon is the virtual-time span the explorer draws fault
+// windows from. Its six updates and final read span about 150 ticks
+// without faults, so windows drawn over this span mostly overlap the
+// traffic they are meant to disturb.
+const explorerHorizon = 200
+
 // explorerRun executes the explorer's generic scenario (a small
-// Service under a randomized schedule) and returns the violations.
-// sabotage injects a deliberate observation corruption (tests only).
-func explorerRun(t *testing.T, seed int64, mask uint64, sabotage func(*faultnet.Schedule) func(*faultnet.RunObs)) []string {
+// unsharded cluster under a randomized schedule) and returns the
+// violations and the trace. sabotage injects a deliberate observation
+// corruption (tests only).
+func explorerRun(t *testing.T, seed int64, mask uint64, sabotage func(*faultnet.Schedule) func(*faultnet.RunObs)) ([]string, *faultnet.Trace) {
 	sc := scenarioConfig{replicas: 4, faulty: 1, maxDelay: 3}
 	var sched *faultnet.Schedule
 	sc.sched = func(h *harness) *faultnet.Schedule {
 		sched = faultnet.Random(seed, faultnet.RandParams{
-			Procs: ident.Range(4), Horizon: 1500, MaxOps: 5,
+			Procs: ident.Range(4), Horizon: explorerHorizon, MaxOps: 5,
 		}).Mask(mask)
 		return sched
 	}
@@ -945,7 +1031,7 @@ func explorerRun(t *testing.T, seed int64, mask uint64, sabotage func(*faultnet.
 	if sabotage != nil {
 		obs.Sabotage = sabotage(sched)
 	}
-	return obs.Check()
+	return obs.Check(), h.trace
 }
 
 // reproLine prints the exact command replaying a failing schedule.
@@ -954,7 +1040,8 @@ func reproLine(seed int64, mask uint64) string {
 }
 
 // TestFaultnetExplorer sweeps N seeded random fault schedules over the
-// full stack and checks every invariant on each run. On failure it
+// full stack and checks every invariant on each run; each seed runs
+// twice and the two traces must be byte-identical. On a violation it
 // shrinks the schedule to a minimal failing op subset and prints the
 // exact replay command. -seed pins a single seed; -faultnet.ops
 // replays a shrunk mask.
@@ -967,16 +1054,21 @@ func TestFaultnetExplorer(t *testing.T) {
 		seeds = []int64{*seedFlag}
 	}
 	for _, seed := range seeds {
-		sched := faultnet.Random(seed, faultnet.RandParams{Procs: ident.Range(4), Horizon: 1500, MaxOps: 5})
-		if v := explorerRun(t, seed, *opsFlag, nil); len(v) != 0 {
+		sched := faultnet.Random(seed, faultnet.RandParams{Procs: ident.Range(4), Horizon: explorerHorizon, MaxOps: 5})
+		v, trace := explorerRun(t, seed, *opsFlag, nil)
+		if len(v) != 0 {
 			mask := faultnet.Shrink(len(sched.Ops), func(m uint64) bool {
-				return len(explorerRun(t, seed, m, nil)) != 0
+				v, _ := explorerRun(t, seed, m, nil)
+				return len(v) != 0
 			})
 			t.Fatalf("seed %d: invariant violations under %s:\n  %s\nminimal schedule: %s\nreplay: %s",
 				seed, sched.Mask(*opsFlag), strings.Join(v, "\n  "),
 				sched.Mask(mask), reproLine(seed, mask))
 		}
-		t.Logf("seed %d clean: %s", seed, sched)
+		if _, again := explorerRun(t, seed, *opsFlag, nil); faultnet.Diff(trace, again) != "" {
+			t.Fatalf("seed %d: replay diverged: %s\nreplay: %s", seed, faultnet.Diff(trace, again), reproLine(seed, *opsFlag))
+		}
+		t.Logf("seed %d clean: %d deliveries, trace %s, %s", seed, trace.Lines(), trace.Fingerprint(), sched)
 	}
 }
 
@@ -1002,13 +1094,14 @@ func TestFaultnetExplorerCatchesSabotage(t *testing.T) {
 		}
 	}
 	fails := func(seed int64, mask uint64) bool {
-		return len(explorerRun(t, seed, mask, sabotage)) != 0
+		v, _ := explorerRun(t, seed, mask, sabotage)
+		return len(v) != 0
 	}
 	// Find a seed whose random schedule contains a Dup op.
 	var seed int64 = -1
 	var sched *faultnet.Schedule
 	for s := int64(1); s < 40; s++ {
-		cand := faultnet.Random(s, faultnet.RandParams{Procs: ident.Range(4), Horizon: 1500, MaxOps: 5})
+		cand := faultnet.Random(s, faultnet.RandParams{Procs: ident.Range(4), Horizon: explorerHorizon, MaxOps: 5})
 		hasDup, n := false, 0
 		for _, op := range cand.Ops {
 			if _, ok := op.(faultnet.Dup); ok {

@@ -89,8 +89,8 @@ type Config struct {
 	Clock obs.Clock
 	// Trace, when non-nil, receives client-side EvPropose/EvDecide
 	// events. Unlike the replica-side consensus trace, flight launches
-	// race residual network deliveries, so this trace is NOT byte-stable
-	// under faultnet — keep it out of determinism assertions.
+	// race residual network deliveries on the goroutine adapter, so this
+	// trace is NOT byte-stable — keep it out of determinism assertions.
 	Trace *obs.Tracer
 }
 

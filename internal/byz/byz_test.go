@@ -209,7 +209,8 @@ func TestRoundSpammerContained(t *testing.T) {
 		MaxRound: 30,
 	}
 	all = append(all, spammer)
-	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 4000, MaxDeliveries: 3_000_000})
+	rec := faultnet.Received{}
+	faultnet.New(all, faultnet.Options{Transcode: rec.Record}).Run(faultnet.Limits{MaxTime: 4000, MaxDeliveries: 3_000_000})
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
 		Inputs:       map[ident.ProcessID]lattice.Set{},
@@ -217,7 +218,7 @@ func TestRoundSpammerContained(t *testing.T) {
 	}
 	for _, m := range correct {
 		run.DecisionSeqs[m.ID()] = m.Decisions()
-		run.Inputs[m.ID()] = m.Inputs()
+		run.Inputs[m.ID()] = rec.Of(m.ID(), lattice.Item{Author: m.ID(), Body: "real"})
 	}
 	if v := run.All(1); len(v) != 0 {
 		t.Fatalf("round spammer broke GWTS: %s", strings.Join(v, "; "))

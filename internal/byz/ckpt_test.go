@@ -43,14 +43,11 @@ func driveCkptAdversary(t *testing.T, adv proto.Machine, kc sig.Keychain, values
 	}
 	machines = append(machines, adv)
 	net := faultnet.New(machines, faultnet.Options{Seed: 9, Delay: faultnet.Uniform{Lo: 1, Hi: 2}})
-	net.Start()
 	for k := 0; k < values; k++ {
 		cmd := lattice.Item{Author: ckptClient, Body: fmt.Sprintf("cmd-%03d", k)}
-		net.Inject(ckptClient, ident.ProcessID(k%(f+1)), msg.NewValue{Cmd: cmd})
-		net.Quiesce()
+		net.Send(ckptClient, ident.ProcessID(k%(f+1)), msg.NewValue{Cmd: cmd})
+		net.Run(faultnet.Limits{})
 	}
-	net.Quiesce()
-	net.Stop()
 	return correct
 }
 

@@ -41,9 +41,11 @@ func TestGWTSDisclosureEquivocation(t *testing.T) {
 			ValA:  lattice.FromStrings(3, "split-A"),
 			ValB:  lattice.FromStrings(3, "split-B"),
 		})
+		rec := faultnet.Received{}
 		faultnet.New(machines, faultnet.Options{
-			Seed:  seed,
-			Delay: faultnet.Uniform{Lo: 1, Hi: 3},
+			Seed:      seed,
+			Delay:     faultnet.Uniform{Lo: 1, Hi: 3},
+			Transcode: rec.Record,
 		}).Run(faultnet.Limits{MaxTime: 100_000})
 
 		// At most one split value may appear anywhere; decisions chain.
@@ -54,7 +56,7 @@ func TestGWTSDisclosureEquivocation(t *testing.T) {
 		}
 		for _, m := range correct {
 			run.DecisionSeqs[m.ID()] = m.Decisions()
-			run.Inputs[m.ID()] = m.Inputs()
+			run.Inputs[m.ID()] = rec.Of(m.ID(), lattice.Item{Author: m.ID(), Body: "real"})
 			for _, d := range m.Decisions() {
 				seen = seen.Union(d)
 			}

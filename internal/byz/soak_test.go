@@ -118,9 +118,11 @@ func TestGWTSSoakWithAdversaries(t *testing.T) {
 				machines = append(machines, m)
 			}
 			machines = append(machines, mkAdversary(adv, ident.ProcessID(n-1), seed))
+			rec := faultnet.Received{}
 			faultnet.New(machines, faultnet.Options{
-				Seed:  seed,
-				Delay: faultnet.Uniform{Lo: 1, Hi: 4},
+				Seed:      seed,
+				Delay:     faultnet.Uniform{Lo: 1, Hi: 4},
+				Transcode: rec.Record,
 			}).Run(faultnet.Limits{MaxTime: 100_000, MaxDeliveries: 3_000_000})
 			run := &check.GLARun{
 				DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
@@ -128,7 +130,7 @@ func TestGWTSSoakWithAdversaries(t *testing.T) {
 			}
 			for _, m := range correct {
 				run.DecisionSeqs[m.ID()] = m.Decisions()
-				run.Inputs[m.ID()] = m.Inputs()
+				run.Inputs[m.ID()] = rec.Of(m.ID(), lattice.Item{Author: m.ID(), Body: fmt.Sprintf("s%d", seed)})
 			}
 			if v := run.All(1); len(v) != 0 {
 				t.Fatalf("adv=%d seed=%d: %s", adv, seed, strings.Join(v, "; "))

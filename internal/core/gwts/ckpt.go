@@ -216,12 +216,10 @@ func (m *Machine) applyInstall(inst *compact.Install) []proto.Output {
 	m.trimDecSeq()
 	m.accepted = m.accepted.Union(v)
 	m.proposed = m.proposed.Union(v)
-	m.inputs = m.inputs.Union(v)
 
 	m.decided = m.decided.TryRebase(base)
 	m.accepted = m.accepted.TryRebase(base)
 	m.proposed = m.proposed.TryRebase(base)
-	m.inputs = m.inputs.TryRebase(base)
 	for i := range m.decSeq {
 		m.decSeq[i] = m.decSeq[i].TryRebase(base)
 	}

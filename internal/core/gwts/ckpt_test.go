@@ -9,6 +9,7 @@ import (
 	"bgla/internal/chanet"
 	"bgla/internal/compact"
 	"bgla/internal/core"
+	"bgla/internal/faultnet"
 	"bgla/internal/ident"
 	"bgla/internal/lattice"
 	"bgla/internal/msg"
@@ -131,8 +132,9 @@ func TestCompactionEndToEnd(t *testing.T) {
 // TestRejoinViaStateTransfer kills one replica mid-run, restarts it
 // empty, and verifies it reaches the current view through checkpoint
 // state transfer — not by replaying the history it missed (the
-// disclosure broadcasts from its downtime are gone for good). Run with
-// -race in CI.
+// disclosure broadcasts from its downtime are gone for good). Each
+// phase runs the deterministic network to quiescence; the crash and
+// the restart replace the victim's machine through the net.
 func TestRejoinViaStateTransfer(t *testing.T) {
 	n, f, every := 4, 1, 24
 	kc := sig.NewSim(n, 11)
@@ -144,52 +146,41 @@ func TestRejoinViaStateTransfer(t *testing.T) {
 		machines = append(machines, m)
 	}
 	victim := ident.ProcessID(n - 1)
-	wrapper := compact.NewRestartable(ckptMachine(t, kc, victim, n, f, every))
-	machines = append(machines, wrapper)
-	net := chanet.New(machines, chanet.Options{Seed: 13})
-	net.Start()
+	machines = append(machines, ckptMachine(t, kc, victim, n, f, every))
+	net := faultnet.New(machines, faultnet.Options{Seed: 13, Delay: faultnet.Uniform{Lo: 1, Hi: 3}})
 
 	inject := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			cmd := lattice.Item{Author: testClient, Body: fmt.Sprintf("cmd-%04d", k)}
-			net.Inject(testClient, ident.ProcessID(k%(f+1)), msg.NewValue{Cmd: cmd})
+			net.Send(testClient, ident.ProcessID(k%(f+1)), msg.NewValue{Cmd: cmd})
 		}
+		net.Run(faultnet.Limits{})
 	}
 
 	// Phase 1: healthy cluster decides the first batch.
 	inject(0, 60)
-	if got := awaitDecidedLen(net, 0, 60, 60*time.Second); got < 60 {
-		net.Stop()
+	if got := reps[0].Decided().Len(); got < 60 {
 		t.Fatalf("phase 1: p0 decided only %d/60", got)
 	}
 
 	// Phase 2: crash the victim; the cluster keeps deciding without it
 	// (one silent replica is within f=1).
-	wrapper.Crash()
+	net.Replace(&muteMachine{id: victim})
 	inject(60, 120)
-	if got := awaitDecidedLen(net, 0, 120, 60*time.Second); got < 120 {
-		net.Stop()
+	if got := reps[0].Decided().Len(); got < 120 {
 		t.Fatalf("phase 2: p0 decided only %d/120", got)
 	}
 
 	// Phase 3: restart from empty. The disclosures of phase 2 are
-	// unrecoverable; only a checkpoint can cover them. Keep traffic
-	// flowing so new checkpoints form, and wait for the fresh machine
-	// to install one via state transfer.
+	// unrecoverable; only a checkpoint can cover them. New traffic forms
+	// new checkpoints, which the fresh machine installs via state
+	// transfer.
 	fresh := ckptMachine(t, kc, victim, n, f, every)
-	wrapper.Swap(fresh)
-	net.Inject(testClient, victim, msg.Wakeup{Tag: "rejoin"})
+	net.Replace(fresh)
 	inject(120, 240)
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		st := fresh.CompactionStats()
-		if st.TransfersReceived >= 1 && st.BaseLen >= 120 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if got := reps[0].Decided().Len(); got < 240 {
+		t.Fatalf("phase 3: p0 decided only %d/240", got)
 	}
-	awaitDecidedLen(net, 0, 240, 60*time.Second)
-	net.Stop()
 
 	st := fresh.CompactionStats()
 	if st.TransfersReceived < 1 {
@@ -324,7 +315,7 @@ func BenchmarkApplyInstall(b *testing.B) {
 			setup := func() *Machine {
 				m := ckptMachine(b, kc, 0, n, f, 1<<20)
 				m.ck.ApplyInstall(&compact.Install{Cert: msg.CkptCert{Epoch: 1, Len: history}, Value: prefix, Base: base0})
-				m.decided, m.accepted, m.proposed, m.inputs = decided, decided, decided, decided
+				m.decided, m.accepted, m.proposed = decided, decided, decided
 				m.decSeq = append([]lattice.Set(nil), decSeq...)
 				m.r, m.safeR, m.state = rounds+1, rounds+1, Proposing
 				m.svs.Install(0, 0, prefix, base0)

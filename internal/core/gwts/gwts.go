@@ -140,16 +140,9 @@ type Machine struct {
 	r        int // current round; -1 before the first round
 	ts       uint32
 	pendingV lattice.Set // values waiting for the next batch (Batch[r+1])
-	inputs   lattice.Set // every value ever received (for Inclusivity checking)
-	// inputExtra buffers received values not yet folded into inputs:
-	// folding a singleton into an O(history) set per NewValue was the
-	// single largest allocation site in the decide hot path, and inputs
-	// is only read for Inclusivity checks, so the fold happens lazily in
-	// Inputs().
-	inputExtra []lattice.Item
-	proposed   lattice.Set // Proposed_set (cumulative)
-	decided    lattice.Set // Decided_set
-	decSeq     []lattice.Set
+	proposed lattice.Set // Proposed_set (cumulative)
+	decided  lattice.Set // Decided_set
+	decSeq   []lattice.Set
 	// anchor is the local representation base the live sets are
 	// re-anchored on when certificate-backed compaction is disabled
 	// (see maybeAutoAnchor).
@@ -201,7 +194,6 @@ func NewUnchecked(cfg Config) *Machine {
 		tally:    core.NewAckTally(),
 		ck:       compact.NewTracker(cfg.Compaction),
 		pendingV: lattice.FromItems(cfg.InitialValues...),
-		inputs:   lattice.FromItems(cfg.InitialValues...),
 	}
 	return m
 }
@@ -225,15 +217,6 @@ func (m *Machine) Decisions() []lattice.Set { return m.decSeq }
 
 // Decided returns the latest decision (Decided_set).
 func (m *Machine) Decided() lattice.Set { return m.decided }
-
-// Inputs returns the union of all values this process received.
-func (m *Machine) Inputs() lattice.Set {
-	if len(m.inputExtra) > 0 {
-		m.inputs = m.inputs.Union(lattice.FromItems(m.inputExtra...))
-		m.inputExtra = nil
-	}
-	return m.inputs
-}
 
 // Proposed returns the cumulative Proposed_set.
 func (m *Machine) Proposed() lattice.Set { return m.proposed }
@@ -352,7 +335,6 @@ func (m *Machine) buffer(p pending) []proto.Output {
 // and opportunistically starts a round.
 func (m *Machine) onNewValue(v msg.NewValue) []proto.Output {
 	it := v.Cmd
-	m.inputExtra = append(m.inputExtra, it)
 	if m.proposed.Contains(it) || m.pendingV.Contains(it) {
 		return nil // already in flight; set semantics make re-proposing redundant
 	}

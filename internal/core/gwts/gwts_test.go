@@ -47,8 +47,10 @@ func item(author int, body string) lattice.Item {
 	return lattice.Item{Author: ident.ProcessID(author), Body: body}
 }
 
-// verifyGLA runs the full generalized checker.
-func verifyGLA(t *testing.T, correct []*Machine, byzValues []lattice.Set, minDecisions int) {
+// verifyGLA runs the full generalized checker. A process's inputs are
+// its initial values plus the NewValues rec saw delivered to it (nil
+// when the run sends none).
+func verifyGLA(t *testing.T, correct []*Machine, rec faultnet.Received, byzValues []lattice.Set, minDecisions int) {
 	t.Helper()
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
@@ -57,7 +59,7 @@ func verifyGLA(t *testing.T, correct []*Machine, byzValues []lattice.Set, minDec
 	}
 	for _, m := range correct {
 		run.DecisionSeqs[m.ID()] = m.Decisions()
-		run.Inputs[m.ID()] = m.Inputs()
+		run.Inputs[m.ID()] = rec.Of(m.ID(), m.cfg.InitialValues...)
 	}
 	if v := run.All(minDecisions); len(v) != 0 {
 		t.Fatalf("GLA violations: %s", strings.Join(v, "; "))
@@ -75,7 +77,7 @@ func TestSingleRoundAllCorrect(t *testing.T) {
 		if res.Undelivered != 0 {
 			t.Fatalf("n=%d: run did not quiesce (%d undelivered)", tc.n, res.Undelivered)
 		}
-		verifyGLA(t, correct, nil, 1)
+		verifyGLA(t, correct, nil, nil, 1)
 		// Everyone decided round 0 with all n values (all correct).
 		for _, m := range correct {
 			if len(m.Decisions()) < 1 {
@@ -97,11 +99,12 @@ func TestMultiRoundBatching(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		wakeups = append(wakeups, faultnet.Wakeup{At: uint64(1 + 30*k), To: 100, Tag: fmt.Sprintf("val-%d", k)})
 	}
-	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
+	rec := faultnet.Received{}
+	res := faultnet.New(all, faultnet.Options{Transcode: rec.Record}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d undelivered", res.Undelivered)
 	}
-	verifyGLA(t, correct, nil, 1)
+	verifyGLA(t, correct, rec, nil, 1)
 	// All six values decided everywhere (Inclusivity is per-receiver;
 	// here check global convergence too).
 	for _, m := range correct {
@@ -157,7 +160,7 @@ func TestProgressDespiteMuteByzantines(t *testing.T) {
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d undelivered", res.Undelivered)
 	}
-	verifyGLA(t, correct, nil, 1)
+	verifyGLA(t, correct, nil, nil, 1)
 }
 
 func TestMinRoundsForcesEmptyRounds(t *testing.T) {
@@ -168,7 +171,7 @@ func TestMinRoundsForcesEmptyRounds(t *testing.T) {
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
-	verifyGLA(t, correct, nil, 3)
+	verifyGLA(t, correct, nil, nil, 3)
 	for _, m := range correct {
 		if got := len(m.Decisions()); got < 3 {
 			t.Fatalf("%v decided %d rounds, want >= 3", m.ID(), got)
@@ -226,7 +229,7 @@ func TestRoundJumperCannotSkipRounds(t *testing.T) {
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
-	verifyGLA(t, correct, []lattice.Set{lattice.FromStrings(3, "future")}, 1)
+	verifyGLA(t, correct, nil, []lattice.Set{lattice.FromStrings(3, "future")}, 1)
 	for _, m := range correct {
 		// Nobody trusted round 7: Safe_r advances one legitimate end at
 		// a time, and round 0 is the only one with proposals.
@@ -334,11 +337,8 @@ func TestNewValueDeduplication(t *testing.T) {
 		// First NewValue triggers round start which consumes the batch.
 		t.Fatalf("pending = %v", m.pendingV)
 	}
-	if !m.Proposed().Contains(cmd) {
-		t.Fatal("value must be proposed")
-	}
-	if m.Inputs().Len() != 1 {
-		t.Fatalf("inputs = %v", m.Inputs())
+	if !m.Proposed().Contains(cmd) || m.Proposed().Len() != 1 {
+		t.Fatalf("proposed = %v, want just the value", m.Proposed())
 	}
 }
 
@@ -407,7 +407,7 @@ func TestRandomDelaysManySeeds(t *testing.T) {
 		if res.Undelivered != 0 {
 			t.Fatalf("seed %d: did not quiesce", seed)
 		}
-		verifyGLA(t, correct, nil, 2)
+		verifyGLA(t, correct, nil, nil, 2)
 	}
 }
 

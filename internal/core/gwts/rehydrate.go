@@ -14,7 +14,7 @@ import (
 // The restoration mirrors applyInstall, minus everything that talks to
 // the network: the persisted certificate (if any) is re-verified and
 // re-installed through the compaction tracker, the recovered decided
-// value is adopted into Decided/Accepted/Proposed/Inputs, the safe
+// value is adopted into Decided/Accepted/Proposed, the safe
 // universe is seeded with it (the certificate and the local quorum
 // evidence that produced each decided record transfer Lemma 12's
 // filtering), and Safe_r fast-forwards to the highest round the log
@@ -64,7 +64,6 @@ func (m *Machine) Rehydrate(decided lattice.Set, safeR int, cert *msg.CkptCert, 
 	m.decided = m.decided.Union(full)
 	m.accepted = m.accepted.Union(full)
 	m.proposed = m.proposed.Union(full)
-	m.inputs = m.inputs.Union(full)
 
 	if safeR > certRound {
 		certRound = safeR
@@ -94,7 +93,6 @@ func (m *Machine) Rehydrate(decided lattice.Set, safeR int, cert *msg.CkptCert, 
 			m.decided = m.decided.TryRebase(base)
 			m.accepted = m.accepted.TryRebase(base)
 			m.proposed = m.proposed.TryRebase(base)
-			m.inputs = m.inputs.TryRebase(base)
 			m.pendingV = m.pendingV.TryRebase(base)
 		}
 	}

@@ -78,7 +78,6 @@ type GMachine struct {
 	r        int
 	ts       uint32
 	pendingV lattice.Set
-	inputs   lattice.Set
 	proposed PVSet // cumulative proof-carrying proposal
 	decided  lattice.Set
 	decSeq   []lattice.Set
@@ -126,7 +125,6 @@ func NewGUnchecked(cfg GConfig) *GMachine {
 		state:      GNewRound,
 		r:          -1,
 		pendingV:   lattice.FromItems(cfg.InitialValues...),
-		inputs:     lattice.FromItems(cfg.InitialValues...),
 		safety:     NewSafetySet(),
 		safeAcks:   make(map[int]map[ident.ProcessID]msg.SafeAck),
 		ackSigs:    make(map[ident.ProcessID]msg.SignedAck),
@@ -152,9 +150,6 @@ func (m *GMachine) Decisions() []lattice.Set { return m.decSeq }
 
 // Decided returns the latest decision.
 func (m *GMachine) Decided() lattice.Set { return m.decided }
-
-// Inputs returns all values received by this process.
-func (m *GMachine) Inputs() lattice.Set { return m.inputs }
 
 // Rejected counts discarded messages.
 func (m *GMachine) Rejected() int { return m.rejected }
@@ -211,7 +206,6 @@ func (m *GMachine) Handle(from ident.ProcessID, in msg.Msg) []proto.Output {
 
 func (m *GMachine) onNewValue(v msg.NewValue) []proto.Output {
 	it := v.Cmd
-	m.inputs = m.inputs.Union(lattice.Singleton(it))
 	if m.proposed.Plain().Contains(it) || m.pendingV.Contains(it) {
 		return nil
 	}

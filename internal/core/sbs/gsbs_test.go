@@ -42,7 +42,10 @@ func gCluster(t *testing.T, n, f int, kc sig.Keychain, seeds map[int][]lattice.I
 	return correct, all
 }
 
-func gVerify(t *testing.T, correct []*GMachine, byzValues []lattice.Set, minDecisions int) {
+// gVerify runs the full generalized checker. A process's inputs are its
+// initial values plus the NewValues rec saw delivered to it (nil when
+// the run sends none).
+func gVerify(t *testing.T, correct []*GMachine, rec faultnet.Received, byzValues []lattice.Set, minDecisions int) {
 	t.Helper()
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
@@ -51,7 +54,7 @@ func gVerify(t *testing.T, correct []*GMachine, byzValues []lattice.Set, minDeci
 	}
 	for _, m := range correct {
 		run.DecisionSeqs[m.ID()] = m.Decisions()
-		run.Inputs[m.ID()] = m.Inputs()
+		run.Inputs[m.ID()] = rec.Of(m.ID(), m.cfg.InitialValues...)
 	}
 	if v := run.All(minDecisions); len(v) != 0 {
 		t.Fatalf("GLA violations: %s", strings.Join(v, "; "))
@@ -74,7 +77,7 @@ func TestGSbSSingleRound(t *testing.T) {
 		if res.Undelivered != 0 {
 			t.Fatalf("n=%d: did not quiesce (%d queued)", tc.n, res.Undelivered)
 		}
-		gVerify(t, correct, nil, 1)
+		gVerify(t, correct, nil, nil, 1)
 	}
 }
 
@@ -88,11 +91,12 @@ func TestGSbSMultiRoundFeeding(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		wakeups = append(wakeups, faultnet.Wakeup{At: uint64(1 + 25*k), To: 100, Tag: fmt.Sprintf("w%d", k)})
 	}
-	res := faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
+	rec := faultnet.Received{}
+	res := faultnet.New(all, faultnet.Options{Transcode: rec.Record}).Run(faultnet.Limits{MaxTime: 1_000_000, Wakeups: wakeups})
 	if res.Undelivered != 0 {
 		t.Fatalf("did not quiesce: %d queued", res.Undelivered)
 	}
-	gVerify(t, correct, nil, 1)
+	gVerify(t, correct, rec, nil, 1)
 	for _, m := range correct {
 		for k := 0; k < 5; k++ {
 			if !m.Decided().Contains(gItem(100, fmt.Sprintf("w%d", k))) {
@@ -131,7 +135,7 @@ func TestGSbSMinRounds(t *testing.T) {
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
-	gVerify(t, correct, nil, 3)
+	gVerify(t, correct, nil, nil, 3)
 }
 
 func TestGSbSMutesTolerated(t *testing.T) {
@@ -147,7 +151,7 @@ func TestGSbSMutesTolerated(t *testing.T) {
 	if res.Undelivered != 0 {
 		t.Fatal("did not quiesce")
 	}
-	gVerify(t, correct, nil, 1)
+	gVerify(t, correct, nil, nil, 1)
 }
 
 // certForger broadcasts a bogus decided certificate for round 0 trying
@@ -179,7 +183,7 @@ func TestGSbSForgedCertificateRejected(t *testing.T) {
 	byz := []proto.Machine{&certForger{id: 3}}
 	correct, all := gCluster(t, n, f, kc, seeds, byz, nil)
 	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
-	gVerify(t, correct, nil, 1)
+	gVerify(t, correct, nil, nil, 1)
 	for _, m := range correct {
 		if m.Decided().Contains(gItem(3, "fake")) {
 			t.Fatalf("%v decided a forged-certificate value", m.ID())
@@ -214,7 +218,7 @@ func TestGSbSFarFutureInitRejected(t *testing.T) {
 	byz := []proto.Machine{&farInit{id: 3, crypto: NewCrypto(kc, 3, 3)}}
 	correct, all := gCluster(t, n, f, kc, seeds, byz, nil)
 	faultnet.New(all, faultnet.Options{}).Run(faultnet.Limits{MaxTime: 1_000_000})
-	gVerify(t, correct, nil, 1)
+	gVerify(t, correct, nil, nil, 1)
 	for _, m := range correct {
 		if m.Rejected() == 0 {
 			t.Fatalf("%v accepted the far-future init", m.ID())
@@ -292,7 +296,7 @@ func TestGSbSRandomSeeds(t *testing.T) {
 		if res.Undelivered != 0 {
 			t.Fatalf("seed %d: did not quiesce", seed)
 		}
-		gVerify(t, correct, nil, 1)
+		gVerify(t, correct, nil, nil, 1)
 	}
 }
 

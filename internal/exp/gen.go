@@ -26,7 +26,7 @@ type genRun struct {
 func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 	var machines []proto.Machine
 	seqOf := map[ident.ProcessID]func() []lattice.Set{}
-	inOf := map[ident.ProcessID]func() lattice.Set{}
+	inputs := map[ident.ProcessID]lattice.Set{}
 	var kc sig.Keychain
 	if algo == "gsbs" {
 		kc = sig.NewSim(n, seed+1)
@@ -36,6 +36,7 @@ func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 		id := ident.ProcessID(i)
 		ids = append(ids, id)
 		seedVals := []lattice.Item{{Author: id, Body: "v"}}
+		inputs[id] = lattice.FromItems(seedVals...) // no NewValue arrives
 		switch algo {
 		case "gwts":
 			m, err := gwts.New(gwts.Config{Self: id, N: n, F: f, InitialValues: seedVals, MinRounds: minRounds})
@@ -44,7 +45,6 @@ func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 			}
 			machines = append(machines, m)
 			seqOf[id] = m.Decisions
-			inOf[id] = m.Inputs
 		case "gsbs":
 			m, err := sbs.NewG(sbs.GConfig{Self: id, N: n, F: f, Keychain: kc, InitialValues: seedVals, MinRounds: minRounds})
 			if err != nil {
@@ -52,7 +52,6 @@ func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 			}
 			machines = append(machines, m)
 			seqOf[id] = m.Decisions
-			inOf[id] = m.Inputs
 		default:
 			panic("unknown algo " + algo)
 		}
@@ -65,12 +64,11 @@ func runGeneralized(algo string, n, f, minRounds int, seed int64) genRun {
 	}
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
-		Inputs:       map[ident.ProcessID]lattice.Set{},
+		Inputs:       inputs,
 	}
 	for _, id := range ids {
 		seq := seqOf[id]()
 		run.DecisionSeqs[id] = seq
-		run.Inputs[id] = inOf[id]()
 		if len(seq) > out.rounds {
 			out.rounds = len(seq)
 		}

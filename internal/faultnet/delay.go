@@ -1,7 +1,6 @@
 package faultnet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"bgla/internal/ident"
@@ -39,8 +38,7 @@ func (u Uniform) Delay(_, _ ident.ProcessID, _ msg.Msg, _ uint64, rng *rand.Rand
 	return u.Lo + uint64(rng.Int63n(int64(u.Hi-u.Lo+1)))
 }
 
-// DelayFunc adapts a function to a DelayModel (closed-world runs only:
-// a live net cannot bound it).
+// DelayFunc adapts a function to a DelayModel.
 type DelayFunc func(from, to ident.ProcessID, m msg.Msg, now uint64, rng *rand.Rand) uint64
 
 // Delay implements DelayModel.
@@ -60,16 +58,4 @@ type SenderStagger struct {
 // Delay implements DelayModel.
 func (s SenderStagger) Delay(from, to ident.ProcessID, m msg.Msg, now uint64, rng *rand.Rand) uint64 {
 	return s.Base.Delay(from, to, m, now, rng) + s.Offset[from]
-}
-
-// delayBound is the largest base delay a live net's model can draw,
-// which sizes its lull gap. It panics on a model it cannot bound.
-func delayBound(d DelayModel) uint64 {
-	switch v := d.(type) {
-	case Fixed:
-		return uint64(v)
-	case Uniform:
-		return max(v.Lo, v.Hi)
-	}
-	panic(fmt.Sprintf("faultnet: a started net needs a Fixed or Uniform delay model, got %T", d))
 }

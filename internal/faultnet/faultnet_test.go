@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"bgla/internal/check"
 	"bgla/internal/core/gwts"
@@ -16,8 +15,8 @@ import (
 
 const testClient ident.ProcessID = 1000
 
-// cluster builds n-f correct GWTS machines (the last f slots are left
-// to the caller: adversaries, Restartables, or more correct machines).
+// cluster builds `correct` correct GWTS machines (the remaining slots
+// are left to the caller: adversaries or more correct machines).
 func cluster(t *testing.T, n, f, correct int) ([]proto.Machine, []*gwts.Machine) {
 	t.Helper()
 	var machines []proto.Machine
@@ -33,25 +32,23 @@ func cluster(t *testing.T, n, f, correct int) ([]proto.Machine, []*gwts.Machine)
 	return machines, reps
 }
 
-// drive runs a seeded workload of sequential injected values and
-// returns the trace.
-func drive(t *testing.T, seed int64, sched *Schedule, values int) (*Trace, []*gwts.Machine) {
+// drive runs a seeded workload of client values, each sent on its own
+// and run to quiescence, and returns the trace, the replicas and what
+// each replica received.
+func drive(t *testing.T, seed int64, sched *Schedule, values int) (*Trace, []*gwts.Machine, Received) {
 	t.Helper()
 	machines, reps := cluster(t, 4, 1, 4)
-	tr := &Trace{}
-	net := New(machines, Options{Seed: seed, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr})
-	net.Start()
+	tr, rec := &Trace{}, Received{}
+	net := New(machines, Options{Seed: seed, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr, Transcode: rec.Record})
 	for k := 0; k < values; k++ {
 		cmd := lattice.Item{Author: testClient, Body: fmt.Sprintf("cmd-%03d", k)}
-		net.Inject(testClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
-		net.Quiesce()
+		net.Send(testClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
+		net.Run(Limits{})
 	}
-	net.Quiesce()
-	net.Stop()
-	return tr, reps
+	return tr, reps, rec
 }
 
-func checkGLA(t *testing.T, reps []*gwts.Machine, wantDecided int) {
+func checkGLA(t *testing.T, reps []*gwts.Machine, rec Received, wantDecided int) {
 	t.Helper()
 	run := &check.GLARun{
 		DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
@@ -59,7 +56,7 @@ func checkGLA(t *testing.T, reps []*gwts.Machine, wantDecided int) {
 	}
 	for _, m := range reps {
 		run.DecisionSeqs[m.ID()] = m.Decisions()
-		run.Inputs[m.ID()] = m.Inputs()
+		run.Inputs[m.ID()] = rec.Of(m.ID())
 	}
 	if v := run.All(1); len(v) != 0 {
 		t.Fatalf("GLA violations: %s", strings.Join(v, "; "))
@@ -80,18 +77,18 @@ func TestDeterministicTraces(t *testing.T) {
 			Dup{window: window{From: 50, Until: 150}, N: 2},
 		}}
 	}
-	a, repsA := drive(t, 7, mkSched(), 8)
-	b, repsB := drive(t, 7, mkSched(), 8)
+	a, repsA, recA := drive(t, 7, mkSched(), 8)
+	b, repsB, recB := drive(t, 7, mkSched(), 8)
 	if d := Diff(a, b); d != "" {
 		t.Fatalf("same seed diverged: %s", d)
 	}
 	if a.Lines() == 0 {
 		t.Fatal("empty trace")
 	}
-	checkGLA(t, repsA, 8)
-	checkGLA(t, repsB, 8)
+	checkGLA(t, repsA, recA, 8)
+	checkGLA(t, repsB, recB, 8)
 
-	c, _ := drive(t, 8, mkSched(), 8)
+	c, _, _ := drive(t, 8, mkSched(), 8)
 	if Diff(a, c) == "" {
 		t.Fatal("different seeds produced identical traces — the rng is not wired")
 	}
@@ -103,16 +100,16 @@ func TestPartitionHeals(t *testing.T) {
 	sched := &Schedule{Ops: []Op{
 		Partition{window: window{From: 0, Until: 400}, Side: []ident.ProcessID{3}},
 	}}
-	_, reps := drive(t, 21, sched, 6)
-	checkGLA(t, reps, 6)
+	_, reps, rec := drive(t, 21, sched, 6)
+	checkGLA(t, reps, rec, 6)
 }
 
 // TestDuplicatesAreHarmless: at-least-once delivery must not break the
 // specification (idempotent protocol handlers).
 func TestDuplicatesAreHarmless(t *testing.T) {
 	sched := &Schedule{Ops: []Op{Dup{window: window{From: 0}, N: 1}}}
-	_, reps := drive(t, 33, sched, 6)
-	checkGLA(t, reps, 6)
+	_, reps, rec := drive(t, 33, sched, 6)
+	checkGLA(t, reps, rec, 6)
 }
 
 // TestLagAndReorder: one slow replica plus global reordering.
@@ -121,8 +118,8 @@ func TestLagAndReorder(t *testing.T) {
 		Lag{window: window{From: 0}, Proc: 2, By: 9},
 		Reorder{window: window{From: 0}, Extra: 5},
 	}}
-	_, reps := drive(t, 44, sched, 6)
-	checkGLA(t, reps, 6)
+	_, reps, rec := drive(t, 44, sched, 6)
+	checkGLA(t, reps, rec, 6)
 }
 
 // TestActionAndTriggerFire: virtual-time actions and delivery
@@ -135,8 +132,8 @@ func TestActionAndTriggerFire(t *testing.T) {
 		_, ok := m.(msg.RBCEcho)
 		return ok
 	}, func(api ActionAPI) { triggerStep = api.Now() })
-	_, reps := drive(t, 5, sched, 4)
-	checkGLA(t, reps, 4)
+	_, reps, rec := drive(t, 5, sched, 4)
+	checkGLA(t, reps, rec, 4)
 	if actionAt != 50 {
 		t.Fatalf("action fired at vtime %d, want exactly 50 (before any delivery at t >= 50)", actionAt)
 	}
@@ -168,8 +165,8 @@ func TestRandomScheduleRunsHoldSpec(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		sched := Random(seed, RandParams{Procs: ident.Range(4), Horizon: 600, MaxOps: 4})
-		_, reps := drive(t, seed, sched, 5)
-		checkGLA(t, reps, 5)
+		_, reps, rec := drive(t, seed, sched, 5)
+		checkGLA(t, reps, rec, 5)
 		t.Logf("seed %d ok: %s", seed, sched)
 	}
 }
@@ -204,26 +201,4 @@ func TestMaskKeepsActions(t *testing.T) {
 	if _, ok := m.Ops[0].(Lag); !ok {
 		t.Fatalf("mask kept wrong op %v", m.Ops[0])
 	}
-}
-
-// TestQuiesceAndStopRace: Quiesce callers racing Stop must all return.
-func TestQuiesceAndStopRace(t *testing.T) {
-	machines, _ := cluster(t, 4, 1, 4)
-	net := New(machines, Options{Seed: 1})
-	net.Start()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 50; i++ {
-			net.Inject(testClient, 0, msg.NewValue{Cmd: lattice.Item{Author: testClient, Body: fmt.Sprintf("c%d", i)}})
-		}
-		net.Quiesce()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("quiesce hung")
-	}
-	net.Stop()
-	net.Stop() // idempotent
 }

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bgla/internal/check"
@@ -180,6 +181,26 @@ func (o *RunObs) checkCerts() []string {
 		}
 	}
 	return v
+}
+
+// Received collects what the GLA specification's Inclusivity calls the
+// values a process received: every msg.NewValue delivered to it. The
+// protocol machines keep no such log; Record, a Transcode hook that
+// passes the message on unchanged, builds it from the deliveries.
+// Initial values are inputs too, and Of adds them.
+type Received map[ident.ProcessID][]lattice.Item
+
+// Record is an Options.Transcode hook.
+func (r Received) Record(_, to ident.ProcessID, m msg.Msg) msg.Msg {
+	if nv, ok := m.(msg.NewValue); ok {
+		r[to] = append(r[to], nv.Cmd)
+	}
+	return m
+}
+
+// Of returns the values p received plus its initial values.
+func (r Received) Of(p ident.ProcessID, initial ...lattice.Item) lattice.Set {
+	return lattice.FromItems(append(slices.Clip(initial), r[p]...)...)
 }
 
 func sortedIDs(m map[ident.ProcessID]lattice.Set) []ident.ProcessID {

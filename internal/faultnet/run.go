@@ -15,18 +15,23 @@ type Wakeup struct {
 	Tag string
 }
 
-// Limits bounds a closed-world Run.
+// Limits bounds one Run call.
 type Limits struct {
 	// MaxTime stops the run once the next delivery lies beyond it (0 =
 	// no horizon). Messages scheduled past the horizon stay
 	// undelivered, which is how "unbounded delay" adversaries are
 	// expressed finitely.
 	MaxTime uint64
-	// MaxDeliveries bounds the number of deliveries as a runaway guard
-	// (0 = 10 million).
+	// MaxDeliveries bounds the deliveries of this call as a runaway
+	// guard (0 = 10 million).
 	MaxDeliveries int
-	// Wakeups are timer self-messages, queued before the machines start.
+	// Wakeups are timer self-messages, queued when the call begins (on
+	// the first call, before the machines start).
 	Wakeups []Wakeup
+	// Until, when non-nil, stops the call as soon as it reports true;
+	// it is checked before every step. A test that runs one operation
+	// at a time passes "this operation completed".
+	Until func() bool
 }
 
 // TimedEvent is a protocol event stamped with its virtual time.
@@ -35,7 +40,8 @@ type TimedEvent struct {
 	Event proto.Event
 }
 
-// Result summarizes a closed-world run.
+// Result summarizes a run so far (a resumed Run reports every call
+// up to and including its own).
 type Result struct {
 	// EndTime is the virtual time the run stopped at.
 	EndTime uint64
@@ -145,26 +151,24 @@ func (m Metrics) MaxSentByProc(procs []ident.ProcessID) int {
 }
 
 // Run drives the machines as a closed world on the calling goroutine:
-// the wakeups are queued, the machines start, and deliveries are
-// processed exactly as the live dispatcher processes them until the
-// queue is empty or a limit is reached. A net is either Run once or
-// Started, never both; Inject has no effect on a Run.
+// the wakeups are queued, the machines start (on the first call only),
+// and deliveries are processed until the queue is empty, a limit is
+// reached or Until holds. A later call resumes with the same queue,
+// virtual time and rng.
 func (n *Net) Run(l Limits) *Result {
 	if l.MaxDeliveries == 0 {
 		l.MaxDeliveries = 10_000_000
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.running {
-		panic("faultnet: Run on a net that already runs")
-	}
-	n.running, n.closedWorld = true, true
-	defer close(n.done)
 	for _, w := range l.Wakeups {
-		n.pushAt(w.To, w.To, msg.Wakeup{Tag: w.Tag}, w.At, machineClass, "")
+		n.pushAt(w.To, w.To, msg.Wakeup{Tag: w.Tag}, w.At)
 	}
-	n.startMachines()
-	for n.steps < uint64(l.MaxDeliveries) {
+	if !n.started {
+		n.startMachines()
+	}
+	for budget := l.MaxDeliveries; budget > 0; budget-- {
+		if l.Until != nil && l.Until() {
+			break
+		}
 		n.fireActions()
 		if len(n.q) == 0 || (l.MaxTime > 0 && n.q[0].time > l.MaxTime) {
 			break

@@ -260,17 +260,6 @@ func TestDelayModels(t *testing.T) {
 	if got := df.Delay(0, 1, msg.Wakeup{}, 0, rng); got != 1 {
 		t.Fatalf("DelayFunc other kind = %d", got)
 	}
-	// A started net sizes its lull gap from the model's bound, so it
-	// refuses a model without one.
-	if delayBound(Fixed(2)) != 2 || delayBound(Uniform{Lo: 1, Hi: 3}) != 3 {
-		t.Fatal("delayBound")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Start accepted an unbounded delay model")
-		}
-	}()
-	New(ringMachines(2), Options{Delay: df}).Start()
 }
 
 func TestZeroDelayClampedToOne(t *testing.T) {
@@ -317,39 +306,77 @@ func TestMetricsHelpers(t *testing.T) {
 	}
 }
 
-// TestRunMatchesLiveDispatch: a closed-world Run and a started net are
-// one engine. The same self-starting WTS cluster, seed, delay model and
-// fault rules must deliver the same messages at the same virtual times
-// in the same order, whichever mode drives it.
-func TestRunMatchesLiveDispatch(t *testing.T) {
-	setup := func() ([]proto.Machine, Options) {
-		var ms []proto.Machine
-		for i := 0; i < 4; i++ {
-			id := ident.ProcessID(i)
-			m, err := wts.New(wts.Config{Self: id, N: 4, F: 1, Proposal: lattice.FromStrings(id, "v")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms = append(ms, m)
+// wtsCluster is a self-starting WTS cluster under reordering and
+// duplication, traced.
+func wtsCluster(t *testing.T, tr *Trace) *Net {
+	t.Helper()
+	var ms []proto.Machine
+	for i := 0; i < 4; i++ {
+		id := ident.ProcessID(i)
+		m, err := wts.New(wts.Config{Self: id, N: 4, F: 1, Proposal: lattice.FromStrings(id, "v")})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sched := &Schedule{Ops: []Op{NewReorder(0, 40, 3), NewDup(0, 60, 2)}}
-		return ms, Options{Seed: 5, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: &Trace{}}
+		ms = append(ms, m)
 	}
-	ms, opts := setup()
-	live := New(ms, opts)
-	live.Start()
-	live.Quiesce()
-	live.Stop()
+	sched := &Schedule{Ops: []Op{NewReorder(0, 40, 3), NewDup(0, 60, 2)}}
+	return New(ms, Options{Seed: 5, Delay: Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr})
+}
 
-	ms, closed := setup()
-	res := New(ms, closed).Run(Limits{})
-	if d := Diff(opts.Trace, closed.Trace); d != "" {
-		t.Fatalf("Run diverged from the live dispatcher: %s", d)
+// TestResumedRunMatchesOneRun: a run cut into many Run calls by Until
+// delivers the same messages at the same virtual times in the same
+// order as one Run — the queue, virtual time and rng carry over.
+func TestResumedRunMatchesOneRun(t *testing.T) {
+	whole, split := &Trace{}, &Trace{}
+	res := wtsCluster(t, whole).Run(Limits{})
+	net := wtsCluster(t, split)
+	calls := 0
+	for {
+		calls++
+		left := 7
+		r := net.Run(Limits{Until: func() bool { left--; return left < 0 }})
+		if r.Undelivered == 0 {
+			break
+		}
 	}
-	if opts.Trace.Lines() != res.Deliveries || res.Deliveries == 0 {
-		t.Fatalf("traced %d deliveries, Run made %d", opts.Trace.Lines(), res.Deliveries)
+	if d := Diff(whole, split); d != "" {
+		t.Fatalf("resumed run diverged from one run: %s", d)
+	}
+	if split.Lines() != res.Deliveries || res.Deliveries == 0 || calls < 2 {
+		t.Fatalf("traced %d deliveries in %d calls, one Run made %d", split.Lines(), calls, res.Deliveries)
 	}
 	if _, ok := res.MaxDecisionTime(ident.Range(4)); !ok {
 		t.Fatal("not every replica decided")
+	}
+}
+
+// TestReplaceSwapsAMachine: a replaced slot drops what arrives while it
+// is down, and a machine swapped in later has its Start outputs
+// sequenced at the current virtual time.
+func TestReplaceSwapsAMachine(t *testing.T) {
+	var got []string
+	sink := &funcMachine{id: 0, handle: func(from ident.ProcessID, m msg.Msg) []proto.Output {
+		got = append(got, fmt.Sprintf("%v:%s", from, m.(msg.Junk).Blob))
+		return nil
+	}}
+	hello := func(blob string) *funcMachine {
+		return &funcMachine{id: 1, start: func() []proto.Output {
+			return []proto.Output{proto.Send(0, msg.Junk{Blob: blob})}
+		}}
+	}
+	net := New([]proto.Machine{sink, hello("first")}, Options{Delay: Fixed(2)})
+	net.Run(Limits{})
+	down := &funcMachine{id: 1}
+	net.Replace(down)
+	net.Send(0, 1, msg.Junk{Blob: "lost"})
+	net.Run(Limits{})
+	net.Replace(hello("second"))
+	start := net.Now()
+	res := net.Run(Limits{})
+	if want := []string{"p1:first", "p1:second"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sink got %v, want %v", got, want)
+	}
+	if res.EndTime != start+2 || res.Deliveries != 3 {
+		t.Fatalf("restart output delivered at %d (from %d), %d deliveries", res.EndTime, start, res.Deliveries)
 	}
 }

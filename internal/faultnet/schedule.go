@@ -95,7 +95,7 @@ func (l Lag) String() string {
 }
 
 // Action runs arbitrary deterministic code at a virtual time (crash a
-// Restartable, swap in a fresh machine, kick it with a wakeup).
+// replica by replacing its machine through the net, forge traffic).
 type Action struct {
 	At uint64
 	// Name appears in repro output.
@@ -104,8 +104,8 @@ type Action struct {
 	done bool
 }
 
-// ActionAPI is the surface actions and triggers run against; it
-// executes on the dispatcher goroutine at an exact virtual time.
+// ActionAPI is the surface actions and triggers run against, at an
+// exact virtual time inside Run (the *Net itself).
 type ActionAPI interface {
 	Now() uint64
 	// Send enqueues a message as if sent now.
@@ -164,34 +164,9 @@ func (s *Schedule) String() string {
 	return strings.Join(parts, " ")
 }
 
-// maxShortDelay bounds the *short* extra delay rules can stack onto a
-// single delivery (every reorder and lag rule may apply to the same
-// message, and a duplicate trails by another short draw), so the
-// dispatcher's lull gap can distinguish jitter from partition
-// backlogs. Summing over all rules overestimates for non-overlapping
-// windows — harmless: partitions must simply dwarf the gap.
-func (s *Schedule) maxShortDelay() uint64 {
-	var sum uint64
-	hasDup := false
-	for _, op := range s.Ops {
-		switch v := op.(type) {
-		case Reorder:
-			sum += v.Extra
-		case Lag:
-			sum += v.By
-		case Dup:
-			hasDup = true
-		}
-	}
-	if hasDup {
-		sum += dupTrailAllowance
-	}
-	return sum
-}
-
 // apply adjusts one send's delivery time and duplicate count. Called
-// by the dispatcher with its rng; every draw depends only on the
-// deterministic delivery sequence.
+// with the net's rng; every draw depends only on the deterministic
+// delivery sequence.
 func (s *Schedule) apply(from, to ident.ProcessID, sendT, at uint64, rng *rand.Rand) (uint64, int) {
 	dups := 0
 	for _, op := range s.Ops {

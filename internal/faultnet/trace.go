@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"bgla/internal/ident"
 	"bgla/internal/msg"
@@ -16,7 +15,6 @@ import (
 // same seeded scenario must produce byte-identical traces — the
 // determinism contract the scenario suite asserts.
 type Trace struct {
-	mu    sync.Mutex
 	buf   bytes.Buffer
 	lines int
 }
@@ -24,10 +22,8 @@ type Trace struct {
 // record appends one delivery line.
 func (t *Trace) record(step, vt uint64, from, to ident.ProcessID, m msg.Msg) {
 	kind, key := describe(m)
-	t.mu.Lock()
 	fmt.Fprintf(&t.buf, "%06d t%06d %v>%v %s %s\n", step, vt, from, to, kind, key)
 	t.lines++
-	t.mu.Unlock()
 }
 
 // describe renders a message kind (shard envelopes unwrapped for
@@ -47,19 +43,13 @@ func describe(m msg.Msg) (string, string) {
 
 // Bytes returns the trace contents so far.
 func (t *Trace) Bytes() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]byte, t.buf.Len())
 	copy(out, t.buf.Bytes())
 	return out
 }
 
 // Lines returns the number of deliveries recorded.
-func (t *Trace) Lines() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lines
-}
+func (t *Trace) Lines() int { return t.lines }
 
 // Fingerprint is a short hash of the whole trace (log-friendly).
 func (t *Trace) Fingerprint() string {

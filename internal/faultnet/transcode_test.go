@@ -67,8 +67,9 @@ func (tc *transcoder) transcode(from, to ident.ProcessID, m msg.Msg) msg.Msg {
 
 // driveCoded runs one active-Byzantine GWTS scenario (3 correct
 // replicas + an RBC equivocator, reordering and duplication faults)
-// with an optional wire-codec shim, and returns the delivery trace.
-func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.ProcessID, msg.Msg) msg.Msg) (*faultnet.Trace, []*gwts.Machine) {
+// with an optional wire-codec shim, and returns the delivery trace and
+// what each replica received.
+func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.ProcessID, msg.Msg) msg.Msg) (*faultnet.Trace, []*gwts.Machine, faultnet.Received) {
 	t.Helper()
 	machines, reps := faultnet.Cluster(t, 4, 1, 3)
 	machines = append(machines, &byz.Equivocator{
@@ -83,17 +84,20 @@ func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.Process
 		faultnet.NewReorder(0, 300, 3),
 		faultnet.NewDup(50, 200, 2),
 	}}
-	tr := &faultnet.Trace{}
-	net := faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr, Transcode: tc})
-	net.Start()
+	tr, rec := &faultnet.Trace{}, faultnet.Received{}
+	hook := func(from, to ident.ProcessID, m msg.Msg) msg.Msg {
+		if tc != nil {
+			m = tc(from, to, m)
+		}
+		return rec.Record(from, to, m)
+	}
+	net := faultnet.New(machines, faultnet.Options{Seed: seed, Delay: faultnet.Uniform{Lo: 1, Hi: 3}, Schedule: sched, Trace: tr, Transcode: hook})
 	for k := 0; k < 6; k++ {
 		cmd := lattice.Item{Author: faultnet.TestClient, Body: fmt.Sprintf("mix-%03d", k)}
-		net.Inject(faultnet.TestClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
-		net.Quiesce()
+		net.Send(faultnet.TestClient, ident.ProcessID(k%2), msg.NewValue{Cmd: cmd})
+		net.Run(faultnet.Limits{})
 	}
-	net.Quiesce()
-	net.Stop()
-	return tr, reps
+	return tr, reps, rec
 }
 
 // TestTranscodedClusterByteStable: a cluster whose every link runs
@@ -104,10 +108,10 @@ func driveCoded(t *testing.T, seed int64, tc func(ident.ProcessID, ident.Process
 // nested wrappers) would surface as a trace diff or a GLA violation.
 func TestTranscodedClusterByteStable(t *testing.T) {
 	const seed = 31
-	base, repsBase := driveCoded(t, seed, nil)
+	base, repsBase, recBase := driveCoded(t, seed, nil)
 
 	tc := newTranscoder(t)
-	coded, repsCoded := driveCoded(t, seed, tc.transcode)
+	coded, repsCoded, recCoded := driveCoded(t, seed, tc.transcode)
 
 	if d := faultnet.Diff(base, coded); d != "" {
 		t.Fatalf("transcoded run diverged from in-memory run: %s", d)
@@ -115,14 +119,18 @@ func TestTranscodedClusterByteStable(t *testing.T) {
 	if tc.deltas == 0 || tc.deltas == tc.frames {
 		t.Fatalf("codec paths not all exercised: %d frames, %d delta-encoded", tc.frames, tc.deltas)
 	}
-	for _, reps := range [][]*gwts.Machine{repsBase, repsCoded} {
+	for i, reps := range [][]*gwts.Machine{repsBase, repsCoded} {
+		rec := []faultnet.Received{recBase, recCoded}[i]
 		run := &check.GLARun{
 			DecisionSeqs: map[ident.ProcessID][]lattice.Set{},
 			Inputs:       map[ident.ProcessID]lattice.Set{},
+			// The equivocator's disclosures are Byzantine-attributable:
+			// RBC agreement lets at most one of them be decided.
+			ByzValues: []lattice.Set{lattice.FromStrings(3, "split-A"), lattice.FromStrings(3, "split-B")},
 		}
 		for _, m := range reps {
 			run.DecisionSeqs[m.ID()] = m.Decisions()
-			run.Inputs[m.ID()] = m.Inputs()
+			run.Inputs[m.ID()] = rec.Of(m.ID())
 		}
 		if v := run.All(1); len(v) != 0 {
 			t.Fatalf("GLA violations under the wire codec: %v", v)

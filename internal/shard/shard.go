@@ -145,7 +145,6 @@ type DemuxConfig struct {
 // each shard's protocol work proceeds in parallel with its siblings'.
 type Demux struct {
 	cfg     DemuxConfig
-	inline  bool
 	boxes   []*workbox
 	wg      sync.WaitGroup
 	started bool
@@ -226,14 +225,9 @@ func NewDemux(cfg DemuxConfig) (*Demux, error) {
 
 // SetSend installs the transport send hook (needed when the transport
 // object itself is constructed around the machine, e.g. tcpnet.Node).
-// inline drives every sub-machine synchronously on the transport's
-// delivery goroutine instead of on per-shard workers. Deterministic
-// transports (internal/faultnet) require it: worker goroutines would
-// reintroduce scheduling nondeterminism. Self-addressed outputs are
-// then processed through a local FIFO before Handle returns, like a
-// worker's loop-back. Call before Start.
-func (d *Demux) SetSend(send func(to ident.ProcessID, m msg.Msg), inline bool) {
-	d.cfg.Send, d.inline = send, inline
+// Call before Start.
+func (d *Demux) SetSend(send func(to ident.ProcessID, m msg.Msg)) {
+	d.cfg.Send = send
 }
 
 // Shards returns the hosted shard count.
@@ -251,12 +245,6 @@ func (d *Demux) Start() []proto.Output {
 		return nil
 	}
 	d.started = true
-	if d.inline {
-		for s, sub := range d.cfg.Subs {
-			d.inlineRun(s, sub, sub.Start())
-		}
-		return nil
-	}
 	for s := range d.cfg.Subs {
 		d.wg.Add(1)
 		go d.work(s)
@@ -264,8 +252,7 @@ func (d *Demux) Start() []proto.Output {
 	return nil
 }
 
-// Handle implements proto.Machine: route-only, never blocks (inline
-// mode runs the addressed sub-machine synchronously instead).
+// Handle implements proto.Machine: route-only, never blocks.
 func (d *Demux) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 	sm, ok := m.(msg.ShardMsg)
 	if !ok || sm.Shard < 0 || sm.Shard >= len(d.cfg.Subs) || sm.Inner == nil {
@@ -273,29 +260,8 @@ func (d *Demux) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 		// peer): no shard owns it, drop it on the floor.
 		return nil
 	}
-	if d.inline {
-		sub := d.cfg.Subs[sm.Shard]
-		d.inlineRun(sm.Shard, sub, sub.Handle(from, sm.Inner))
-		return nil
-	}
 	d.boxes[sm.Shard].put(inbound{from: from, m: sm.Inner})
 	return nil
-}
-
-// inlineRun sends one batch of sub-machine outputs, then drains the
-// self-addressed loop-backs to quiescence (bounded: self-messages are
-// buffered-work drains, not loops).
-func (d *Demux) inlineRun(s int, sub proto.Machine, outs []proto.Output) {
-	d.drain(sub)
-	var pending []inbound
-	self := func(e inbound) { pending = append(pending, e) }
-	d.route(s, outs, self)
-	for len(pending) > 0 {
-		e := pending[0]
-		pending = pending[1:]
-		d.route(s, sub.Handle(e.from, e.m), self)
-		d.drain(sub)
-	}
 }
 
 // TakeEvents implements proto.EventSource, aggregating the hosted
@@ -341,14 +307,6 @@ func (d *Demux) work(s int) {
 // transport hop and chanet's Inject would attribute it correctly but
 // deliver it through the demux inbox, adding latency for nothing.
 func (d *Demux) emit(s int, outs []proto.Output) {
-	d.route(s, outs, func(e inbound) { d.boxes[s].put(e) })
-}
-
-// route is the single output-routing path shared by worker and inline
-// modes: shard wrapping, broadcast expansion over All, and the
-// self-delivery short-circuit (a workbox put in worker mode, the
-// caller's local FIFO inline) — so the two modes cannot drift apart.
-func (d *Demux) route(s int, outs []proto.Output, self func(inbound)) {
 	for _, o := range outs {
 		if o.Msg == nil {
 			continue
@@ -357,7 +315,7 @@ func (d *Demux) route(s int, outs []proto.Output, self func(inbound)) {
 		if o.To == proto.Broadcast {
 			for _, to := range d.cfg.All {
 				if to == d.cfg.Self {
-					self(inbound{from: d.cfg.Self, m: o.Msg})
+					d.boxes[s].put(inbound{from: d.cfg.Self, m: o.Msg})
 					continue
 				}
 				d.cfg.Send(to, wrapped)
@@ -365,7 +323,7 @@ func (d *Demux) route(s int, outs []proto.Output, self func(inbound)) {
 			continue
 		}
 		if o.To == d.cfg.Self {
-			self(inbound{from: d.cfg.Self, m: o.Msg})
+			d.boxes[s].put(inbound{from: d.cfg.Self, m: o.Msg})
 			continue
 		}
 		d.cfg.Send(o.To, wrapped)

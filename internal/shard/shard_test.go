@@ -140,8 +140,8 @@ func TestDemuxIsolatesShardsOverSharedTransport(t *testing.T) {
 	d1, subs1 := mk(1)
 	cl := &collector{self: clientID}
 	net := chanet.New([]proto.Machine{d0, d1, cl}, chanet.Options{})
-	d0.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) }, false)
-	d1.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(1, to, m) }, false)
+	d0.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) })
+	d1.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(1, to, m) })
 	net.Start()
 
 	cmd := lattice.Item{Author: clientID, Body: "x"}
@@ -218,7 +218,7 @@ func TestDemuxMuteShard(t *testing.T) {
 	}
 	cl := &collector{self: clientID}
 	net := chanet.New([]proto.Machine{d, cl}, chanet.Options{})
-	d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) }, false)
+	d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(0, to, m) })
 	net.Start()
 
 	cmd := lattice.Item{Author: clientID, Body: "x"}
@@ -258,7 +258,7 @@ func TestNewDemuxValidation(t *testing.T) {
 
 // selfLooper replies to the first NewValue with a self-addressed probe
 // and converts the probe into a broadcast Decide — exercising the
-// inline self-delivery FIFO.
+// worker's self-delivery loop-back.
 type selfLooper struct {
 	proto.Recorder
 	self ident.ProcessID
@@ -278,17 +278,15 @@ func (s *selfLooper) Handle(from ident.ProcessID, m msg.Msg) []proto.Output {
 	return nil
 }
 
-// TestDemuxInlineMode drives an inline (workerless) demux directly:
-// routing, mute shards, broadcast expansion and self-addressed
-// loop-backs must all behave like the worker mode, synchronously on
-// the caller's goroutine.
-func TestDemuxInlineMode(t *testing.T) {
+// TestDemuxSelfLoop drives a demux directly: a self-addressed output
+// loops back through its shard's workbox without touching the
+// transport, broadcasts expand over All minus self with the shard tag,
+// and mute, out-of-range and untagged traffic sends nothing.
+func TestDemuxSelfLoop(t *testing.T) {
 	self, client := ident.ProcessID(0), ident.ProcessID(100)
 	var mu sync.Mutex
-	var sent []struct {
-		to ident.ProcessID
-		m  msg.ShardMsg
-	}
+	var sent []msg.ShardMsg
+	two := make(chan struct{})
 	d, err := NewDemux(DemuxConfig{
 		Self: self,
 		Subs: []proto.Machine{&selfLooper{self: self}, &silent{self: self}}, // shard 1 mute
@@ -299,54 +297,41 @@ func TestDemuxInlineMode(t *testing.T) {
 	}
 	d.SetSend(func(to ident.ProcessID, m msg.Msg) {
 		sm, ok := m.(msg.ShardMsg)
-		if !ok {
-			t.Errorf("inline demux sent untagged %T", m)
+		if !ok || to == self {
+			t.Errorf("demux sent %T to %v", m, to)
 			return
 		}
 		mu.Lock()
-		sent = append(sent, struct {
-			to ident.ProcessID
-			m  msg.ShardMsg
-		}{to, sm})
-		mu.Unlock()
-	}, true)
-	if outs := d.Start(); len(outs) != 0 {
-		t.Fatalf("inline Start returned outputs: %v", outs)
-	}
-
-	// Shard 0: NewValue -> self-probe (local FIFO) -> broadcast Decide.
-	cmd := lattice.Item{Author: client, Body: "x"}
-	d.Handle(client, msg.ShardMsg{Shard: 0, Inner: msg.NewValue{Cmd: cmd}})
-	mu.Lock()
-	n := len(sent)
-	mu.Unlock()
-	// Broadcast over All minus self (self loops back internally and the
-	// looper ignores Decide): 2 sends, all tagged shard 0.
-	if n != 2 {
-		t.Fatalf("inline broadcast expanded to %d sends, want 2", n)
-	}
-	for _, s := range sent {
-		if s.m.Shard != 0 {
-			t.Fatalf("send to %v tagged shard %d, want 0", s.to, s.m.Shard)
+		defer mu.Unlock()
+		if sent = append(sent, sm); len(sent) == 2 {
+			close(two)
 		}
-		dec, ok := s.m.Inner.(msg.Decide)
-		if !ok || dec.Round != 7 {
-			t.Fatalf("send to %v carried %T (round?) — self-loop not processed", s.to, s.m.Inner)
+	})
+	d.Start()
+	cmd := lattice.Item{Author: client, Body: "x"}
+	d.Handle(client, msg.ShardMsg{Shard: 1, Inner: msg.NewValue{Cmd: cmd}})
+	d.Handle(client, msg.ShardMsg{Shard: 9, Inner: msg.NewValue{Cmd: cmd}})
+	d.Handle(client, msg.NewValue{Cmd: cmd})
+	// Shard 0: NewValue -> self-probe (workbox) -> broadcast Decide.
+	d.Handle(client, msg.ShardMsg{Shard: 0, Inner: msg.NewValue{Cmd: cmd}})
+	select {
+	case <-two:
+	case <-time.After(10 * time.Second):
+		t.Fatal("self-loop never produced the broadcast")
+	}
+	d.Stop() // drains the mute shard's queued delivery
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != 2 {
+		t.Fatalf("%d sends, want the 2 of one broadcast", len(sent))
+	}
+	for _, sm := range sent {
+		dec, ok := sm.Inner.(msg.Decide)
+		if sm.Shard != 0 || !ok || dec.Round != 7 {
+			t.Fatalf("sent shard %d %T, want shard 0's round-7 Decide", sm.Shard, sm.Inner)
 		}
 		if !dec.Value.Contains(lattice.Item{Author: self, Body: "loop|x"}) {
 			t.Fatalf("self-loop payload lost: %v", dec.Value)
 		}
 	}
-
-	// Mute shard swallows silently; out-of-range and untagged drop.
-	d.Handle(client, msg.ShardMsg{Shard: 1, Inner: msg.NewValue{Cmd: cmd}})
-	d.Handle(client, msg.ShardMsg{Shard: 9, Inner: msg.NewValue{Cmd: cmd}})
-	d.Handle(client, msg.NewValue{Cmd: cmd})
-	mu.Lock()
-	after := len(sent)
-	mu.Unlock()
-	if after != n {
-		t.Fatalf("mute/out-of-range/untagged traffic produced %d extra sends", after-n)
-	}
-	d.Stop() // no workers: must be a no-op, not a hang
 }

@@ -14,8 +14,7 @@ import (
 // generation. It is transparent to the driver — outputs pass through
 // untouched and events are re-buffered for the transport's own
 // drain — so it slots between the replica and any transport (chanet,
-// tcpnet, faultnet) exactly like the adversary and crash-restart
-// wrappers do.
+// tcpnet, faultnet) exactly like the adversary wrappers do.
 type Persister struct {
 	inner proto.Machine
 	log   *Log

@@ -26,9 +26,8 @@ var wallClockFuncs = map[string]bool{
 // disturb it). Shrink it as uses move onto obs.Clock; an entry that no
 // longer matches anything fails the test so the list cannot go stale.
 var wallClockAllowed = map[string]bool{
-	"internal/batch/batch.go time.AfterFunc":   true, // flight expiry tick
-	"store.go time.NewTimer":                   true, // scan retry backoff
-	"internal/faultnet/faultnet.go time.Sleep": true, // admission stability window
+	"internal/batch/batch.go time.AfterFunc": true, // flight expiry tick
+	"store.go time.NewTimer":                 true, // scan retry backoff
 }
 
 // wallClockExempt are the packages whose job is the wall clock: the

@@ -27,9 +27,9 @@ type ObsConfig struct {
 	// gets a private registry, reachable through Service.Metrics.
 	Registry *obs.Registry
 	// Clock timestamps trace events and decision-latency samples (nil =
-	// obs.WallClock). The deterministic harness substitutes faultnet
-	// virtual time, which makes the consensus trace byte-stable across
-	// same-seed runs.
+	// obs.WallClock). The deterministic scenario harness substitutes
+	// faultnet virtual time, which makes the consensus trace byte-stable
+	// across same-seed runs.
 	Clock obs.Clock
 	// ConsensusTrace, when non-nil, receives the replica-side protocol
 	// events (propose/ack/tally/decide/ckpt_install/state_transfer/
@@ -38,8 +38,8 @@ type ObsConfig struct {
 	ConsensusTrace *obs.Tracer
 	// ClientTrace, when non-nil, receives the batching pipeline's
 	// client-side events (flight launch/decide). Launches race residual
-	// network deliveries, so this trace is NOT byte-stable even under
-	// faultnet — keep it out of determinism assertions.
+	// network deliveries, so this trace is NOT byte-stable — keep it out
+	// of determinism assertions.
 	ClientTrace *obs.Tracer
 }
 
@@ -121,11 +121,11 @@ type ServiceConfig struct {
 	// no tracing).
 	Obs ObsConfig
 
-	// Hooks are test-only fault-injection points: a replacement
-	// transport (the deterministic harness of internal/faultnet),
-	// per-slot replica wrappers (active Byzantine adversaries,
-	// crash-restart wrappers) and a substitute storage stack (wal.MemFS
-	// plus torn-write/partial-fsync hooks). Nil in production.
+	// Hooks are fault-injection and instrumentation points: a
+	// replacement transport, per-slot replica wrappers (active Byzantine
+	// adversaries, timing probes) and a substitute storage stack
+	// (wal.MemFS plus torn-write/partial-fsync hooks). Nil in
+	// production.
 	Hooks *ServiceHooks
 }
 

@@ -82,6 +82,107 @@ type Store struct {
 
 // NewStore builds and starts the sharded cluster.
 func NewStore(cfg ShardedConfig) (*Store, error) {
+	c, err := newCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = c.cfg
+	// At S = 1 the shard layer is empty: the replicas sit on the
+	// transport directly and the client speaks the unwrapped protocol
+	// (plain gateway and sender, no demux, no envelope).
+	pipes := make([]*batch.Pipeline, cfg.Shards)
+	var gw proto.Machine = &gateway{deliver: func(from ident.ProcessID, m msg.Msg) { pipes[0].Deliver(from, m) }}
+	if cfg.Shards > 1 {
+		sg := shard.NewGateway(clientID, cfg.Shards)
+		sg.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
+		gw = sg
+	}
+	all := append(ident.Range(cfg.Replicas), clientID)
+	machines := []proto.Machine{gw}
+	var demuxes []*shard.Demux
+	for i, subs := range c.slots {
+		if cfg.Shards == 1 {
+			machines = append(machines, subs[0])
+			continue
+		}
+		d, err := shard.NewDemux(shard.DemuxConfig{Self: ident.ProcessID(i), Subs: subs, All: all})
+		if err != nil {
+			return nil, err
+		}
+		demuxes = append(demuxes, d)
+		machines = append(machines, d)
+	}
+	net := cfg.newTransport(machines)
+	for _, d := range demuxes {
+		d.SetSend(func(to ident.ProcessID, m msg.Msg) { net.Inject(d.ID(), to, m) })
+	}
+
+	for s := range pipes {
+		var send batch.Sender = transportSender{net: net}
+		if cfg.Shards > 1 {
+			send = shard.NewSender(s, func(to ident.ProcessID, m msg.Msg) { net.Inject(clientID, to, m) })
+		}
+		p, err := batch.New(batch.Config{
+			Client:      clientID,
+			Replicas:    ident.Range(cfg.Replicas),
+			SubmitTo:    c.submitTo[s],
+			F:           cfg.Faulty,
+			MaxBatch:    cfg.MaxBatch,
+			MaxInFlight: cfg.MaxInFlight,
+			OpTimeout:   cfg.OpTimeout,
+			StartSeq:    c.startSeq,
+			Registry:    cfg.Obs.Registry,
+			Shard:       s,
+			Clock:       cfg.Obs.Clock,
+			Trace:       cfg.Obs.ClientTrace,
+		}, send)
+		if err != nil {
+			for _, q := range pipes {
+				if q != nil {
+					q.Close()
+				}
+			}
+			return nil, err
+		}
+		pipes[s] = p
+	}
+	net.Start()
+	st := &Store{
+		cfg: cfg, net: net, demuxes: demuxes, pipes: pipes, reps: c.reps, pers: c.pers,
+		rng: rand.New(rand.NewSource(cfg.Seed + 0x5ca0)),
+	}
+	st.seq.Store(c.startSeq)
+	registerClusterViews(cfg.Obs.Registry, c.reps, c.pers)
+	reg := cfg.Obs.Registry
+	reg.CounterFunc("bgla_scans_total", st.scans.Load)
+	reg.CounterFunc("bgla_scan_passes_total", st.scanPasses.Load)
+	reg.CounterFunc("bgla_scan_retries_total", st.scanRetries.Load)
+	return st, nil
+}
+
+// cluster is the machine side of a Store, built once by newCluster for
+// the product transport (NewStore) and for the closed-world scenario
+// harness alike.
+type cluster struct {
+	cfg ShardedConfig // validated, defaults applied
+	// slots[i][s] is replica process i's machine in shard s: its correct
+	// replica (or the durable log over it), a mute stand-in, or what
+	// WrapReplica made of either.
+	slots [][]proto.Machine
+	// reps and pers are the correct replicas and their logs; slots an
+	// adversary replaced drop out of reps.
+	reps []*gwts.Machine
+	pers []*wal.Persister
+	// submitTo[s] are the f+1 replicas correct in shard s that new
+	// values go to.
+	submitTo [][]ident.ProcessID
+	// startSeq is the client sequence to resume past: the highest one
+	// any recovered replica state holds.
+	startSeq uint64
+}
+
+// newCluster validates cfg and builds every replica slot's machine.
+func newCluster(cfg ShardedConfig) (*cluster, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
@@ -131,25 +232,7 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 		}
 	}
 
-	var kc sig.Keychain
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
-		kc = sig.NewSim(cfg.Replicas, cfg.Seed+0x5eed)
-	}
-	// At S = 1 the shard layer is empty: the replicas sit on the
-	// transport directly and the client speaks the unwrapped protocol
-	// (plain gateway and sender, no demux, no envelope).
-	pipes := make([]*batch.Pipeline, cfg.Shards)
-	var gw proto.Machine = &gateway{deliver: func(from ident.ProcessID, m msg.Msg) { pipes[0].Deliver(from, m) }}
-	if cfg.Shards > 1 {
-		sg := shard.NewGateway(clientID, cfg.Shards)
-		sg.SetDeliver(func(s int, from ident.ProcessID, m msg.Msg) { pipes[s].Deliver(from, m) })
-		gw = sg
-	}
-	all := append(ident.Range(cfg.Replicas), clientID)
-	machines := []proto.Machine{gw}
-	var demuxes []*shard.Demux
-	var reps []*gwts.Machine
-	var pers []*wal.Persister
+	c, kc := &cluster{cfg: cfg}, cfg.keychain()
 	for i := 0; i < cfg.Replicas; i++ {
 		id := ident.ProcessID(i)
 		subs := make([]proto.Machine, cfg.Shards)
@@ -164,7 +247,7 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 				}
 				m = r
 				if p != nil {
-					pers = append(pers, p)
+					c.pers = append(c.pers, p)
 					m = p
 				}
 			}
@@ -173,94 +256,46 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 				// Replaced slots (adversaries) drop out of stats
 				// aggregation; wrapped slots keep their machine via the
 				// hook's own reference.
-				reps = append(reps, r)
+				c.reps = append(c.reps, r)
 			}
 			subs[s] = w
 		}
-		if cfg.Shards == 1 {
-			machines = append(machines, subs[0])
-			continue
-		}
-		d, err := shard.NewDemux(shard.DemuxConfig{Self: id, Subs: subs, All: all})
-		if err != nil {
-			return nil, err
-		}
-		demuxes = append(demuxes, d)
-		machines = append(machines, d)
-	}
-	net := cfg.newTransport(machines)
-	// A transport that sequences injections from inside Handle
-	// (faultnet) is deterministic: its demuxes run inline on the
-	// delivery goroutine, since shard workers would reintroduce
-	// scheduling nondeterminism.
-	si, inline := net.(syncInjector)
-	for _, d := range demuxes {
-		send := func(to ident.ProcessID, m msg.Msg) { net.Inject(d.ID(), to, m) }
-		if inline {
-			send = func(to ident.ProcessID, m msg.Msg) { si.InjectSync(d.ID(), to, m) }
-		}
-		d.SetSend(send, inline)
+		c.slots = append(c.slots, subs)
 	}
 
 	// A restarted client must resume its sequence past everything its
 	// previous incarnation got decided: the lattice is a set, so a
 	// reused (client, seq) command or read marker is absorbed by the
 	// recovered state without a fresh decision and never confirms. All
-	// shards share the client identity, so every shard pipeline starts
-	// beyond the global maximum.
-	startSeq := recoveredSeq(pers)
+	// shards share the client identity, so every shard starts beyond
+	// the global maximum.
+	c.startSeq = uint64(recoveredSeq(c.pers))
 
-	for s := range pipes {
-		// Trigger new_value at f+1 replicas correct *in this shard*:
-		// mute ones would relay nothing, so target the first f+1
-		// non-mute (correct replicas relay through agreement and all
-		// eventually decide either way).
-		var submitTo []ident.ProcessID
-		for i := 0; i < cfg.Replicas && len(submitTo) < core.ReadQuorum(cfg.Faulty); i++ {
+	// Trigger new_value at f+1 replicas correct *in this shard*: mute
+	// ones would relay nothing, so target the first f+1 non-mute
+	// (correct replicas relay through agreement and all eventually
+	// decide either way).
+	c.submitTo = make([][]ident.ProcessID, cfg.Shards)
+	for s := range c.submitTo {
+		for i := 0; i < cfg.Replicas && len(c.submitTo[s]) < core.ReadQuorum(cfg.Faulty); i++ {
 			if id := ident.ProcessID(i); !mutes[s].Has(id) {
-				submitTo = append(submitTo, id)
+				c.submitTo[s] = append(c.submitTo[s], id)
 			}
 		}
-		var send batch.Sender = transportSender{net: net}
-		if cfg.Shards > 1 {
-			send = shard.NewSender(s, func(to ident.ProcessID, m msg.Msg) { net.Inject(clientID, to, m) })
-		}
-		p, err := batch.New(batch.Config{
-			Client:      clientID,
-			Replicas:    ident.Range(cfg.Replicas),
-			SubmitTo:    submitTo,
-			F:           cfg.Faulty,
-			MaxBatch:    cfg.MaxBatch,
-			MaxInFlight: cfg.MaxInFlight,
-			OpTimeout:   cfg.OpTimeout,
-			StartSeq:    uint64(startSeq),
-			Registry:    cfg.Obs.Registry,
-			Shard:       s,
-			Clock:       cfg.Obs.Clock,
-			Trace:       cfg.Obs.ClientTrace,
-		}, send)
-		if err != nil {
-			for _, q := range pipes {
-				if q != nil {
-					q.Close()
-				}
-			}
-			return nil, err
-		}
-		pipes[s] = p
 	}
-	net.Start()
-	st := &Store{
-		cfg: cfg, net: net, demuxes: demuxes, pipes: pipes, reps: reps, pers: pers,
-		rng: rand.New(rand.NewSource(cfg.Seed + 0x5ca0)),
+	return c, nil
+}
+
+// keychain is the cluster's checkpoint keychain, nil when compaction is
+// off: the fast deterministic simulation scheme — the in-process
+// transport already authenticates senders, and DESIGN.md §3 explains
+// why protocol-visible behaviour is identical to Ed25519. The same
+// config always derives the same keys.
+func (cfg ServiceConfig) keychain() sig.Keychain {
+	if cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0 {
+		return sig.NewSim(cfg.Replicas, cfg.Seed+0x5eed)
 	}
-	st.seq.Store(uint64(startSeq))
-	registerClusterViews(cfg.Obs.Registry, reps, pers)
-	reg := cfg.Obs.Registry
-	reg.CounterFunc("bgla_scans_total", st.scans.Load)
-	reg.CounterFunc("bgla_scan_passes_total", st.scanPasses.Load)
-	reg.CounterFunc("bgla_scan_retries_total", st.scanRetries.Load)
-	return st, nil
+	return nil
 }
 
 // newReplica builds the correct replica of one (shard, slot): the §7
@@ -270,10 +305,7 @@ func NewStore(cfg ShardedConfig) (*Store, error) {
 // aggregate load) and, when DataDir is set, its durable log, from which
 // the fresh machine is rehydrated before it touches the network; the
 // returned persister is then the machine to place there. kc is the
-// cluster keychain (nil when compaction is off): the fast deterministic
-// simulation scheme — the in-process transport already authenticates
-// senders, and DESIGN.md §3 explains why protocol-visible behaviour is
-// identical to Ed25519.
+// cluster keychain (cfg.keychain).
 func newReplica(cfg ShardedConfig, kc sig.Keychain, shard, slot int) (*gwts.Machine, *wal.Persister, error) {
 	id := ident.ProcessID(slot)
 	rc := rsm.ReplicaConfig{
@@ -473,27 +505,11 @@ func (st *Store) scanBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// collect runs one pass of per-shard confirmed reads and returns the
-// nop-stripped views. The pass is parallel in production; on a
-// deterministic transport (one that implements syncInjector, i.e.
-// internal/faultnet) it reads shard by shard, so the transport only
-// ever sees one outstanding client burst — the property that makes
-// admission placement timing-independent (the double-collect
-// consistency argument of DESIGN.md §5 never depended on intra-pass
-// parallelism).
+// collect runs one pass of per-shard confirmed reads, in parallel, and
+// returns the nop-stripped views.
 func (st *Store) collect(ctx context.Context) ([]lattice.Set, error) {
 	st.scanPasses.Add(1)
 	views := make([]lattice.Set, st.cfg.Shards)
-	if _, inline := st.net.(syncInjector); inline {
-		for s := range st.pipes {
-			v, err := st.pipes[s].Read(ctx)
-			if err != nil {
-				return nil, err
-			}
-			views[s] = rsm.StripNops(v)
-		}
-		return views, nil
-	}
 	errs := make([]error, st.cfg.Shards)
 	var wg sync.WaitGroup
 	for s := range st.pipes {

@@ -13,10 +13,10 @@ import (
 // Transport is the injection point between the public stack and its
 // network: the Service and Store drive any implementation of this
 // surface. The default is the live goroutine network (internal/chanet);
-// the deterministic fault-injection harness (internal/faultnet)
-// implements the same surface, so the entire stack — batching
-// pipelines, shard demuxes, checkpoint compaction, state transfer —
-// runs unmodified under scripted and randomized fault schedules.
+// the benchmark substitutes an instrumented one. The deterministic
+// scenario harness does not use this seam: it runs the same cluster
+// machines (see newCluster) on internal/faultnet's closed-world Run,
+// with rsm.Gateway client machines in place of the batching pipelines.
 type Transport interface {
 	// Start launches delivery (machine Start outputs included).
 	Start()
@@ -28,17 +28,6 @@ type Transport interface {
 	Stop()
 }
 
-// syncInjector is an optional Transport capability: enqueue a message
-// synchronously from within a machine Handle running on the
-// transport's own delivery goroutine, preserving deterministic
-// sequencing. A transport that implements it is deterministic: the
-// Store then runs its shard demuxes inline and routes their sends
-// through it, and reads a Scan's shards one by one (faultnet
-// implements it; the live transports don't).
-type syncInjector interface {
-	InjectSync(from, to ident.ProcessID, m msg.Msg)
-}
-
 // TransportOptions carries the network knobs of a ServiceConfig to a
 // custom transport constructor.
 type TransportOptions struct {
@@ -48,11 +37,11 @@ type TransportOptions struct {
 	Seed int64
 }
 
-// ServiceHooks are test-only fault-injection points (nil in
-// production). They let the deterministic harness substitute the
-// transport underneath an unmodified Service/Store and lift Byzantine
-// adversaries or crash-restart wrappers (internal/byz,
-// compact.Restartable) into full-stack replica slots.
+// ServiceHooks are fault-injection and instrumentation points (nil in
+// production). They substitute the transport underneath an unmodified
+// Service/Store, wrap or replace the machine of a replica slot (an
+// active Byzantine adversary from internal/byz, a timing probe) and
+// swap the storage stack.
 type ServiceHooks struct {
 	// NewTransport replaces the default chanet transport. The machine
 	// list is the full cluster: the client gateway, then one machine
