@@ -29,11 +29,16 @@ type envelope struct {
 	m    msg.Msg
 }
 
-// mailbox is an unbounded FIFO with blocking receive.
+// mailbox is an unbounded FIFO with blocking receive. queue[head:] is
+// pending. The backing array is reused from the start once the queue
+// drains, and a full array whose taken prefix is at least half of it
+// is compacted in place instead of grown, so a queue that never drains
+// keeps an array within four times its backlog.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []envelope
+	head   int
 	closed bool
 }
 
@@ -46,6 +51,11 @@ func newMailbox() *mailbox {
 func (mb *mailbox) put(e envelope) {
 	mb.mu.Lock()
 	if !mb.closed {
+		if len(mb.queue) == cap(mb.queue) && mb.head > 0 && mb.head >= len(mb.queue)/2 {
+			n := copy(mb.queue, mb.queue[mb.head:])
+			clear(mb.queue[n:])
+			mb.queue, mb.head = mb.queue[:n], 0
+		}
 		mb.queue = append(mb.queue, e)
 		mb.cond.Signal()
 	}
@@ -56,14 +66,18 @@ func (mb *mailbox) put(e envelope) {
 func (mb *mailbox) take() (envelope, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed {
+	for mb.head == len(mb.queue) && !mb.closed {
 		mb.cond.Wait()
 	}
-	if len(mb.queue) == 0 {
+	if mb.head == len(mb.queue) {
 		return envelope{}, false
 	}
-	e := mb.queue[0]
-	mb.queue = mb.queue[1:]
+	e := mb.queue[mb.head]
+	mb.queue[mb.head] = envelope{} // release the message to the GC
+	mb.head++
+	if mb.head == len(mb.queue) {
+		mb.queue, mb.head = mb.queue[:0], 0
+	}
 	return e, true
 }
 

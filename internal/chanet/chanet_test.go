@@ -151,3 +151,42 @@ func TestSentCounter(t *testing.T) {
 		t.Fatal("no messages metered")
 	}
 }
+
+// TestMailboxFIFOAcrossReuse interleaves puts and takes so the queue
+// drains (array reused from the start), backs up past a full array with
+// a large taken prefix (compaction) and grows; order must hold.
+func TestMailboxFIFOAcrossReuse(t *testing.T) {
+	mb := newMailbox()
+	next, want, peak := 0, 0, 0
+	put := func(k int) {
+		for i := 0; i < k; i++ {
+			mb.put(envelope{from: ident.ProcessID(next)})
+			next++
+		}
+		peak = max(peak, next-want)
+	}
+	take := func(k int) {
+		for i := 0; i < k; i++ {
+			e, ok := mb.take()
+			if !ok || int(e.from) != want {
+				t.Fatalf("take = %v/%v, want %d", e.from, ok, want)
+			}
+			want++
+		}
+	}
+	for round := 0; round < 50; round++ {
+		put(7 + round%5)
+		take(5 + round%3)
+	}
+	take(next - want)
+	if mb.head != 0 || len(mb.queue) != 0 {
+		t.Fatalf("drained queue: head=%d len=%d", mb.head, len(mb.queue))
+	}
+	if c := cap(mb.queue); c > 4*peak {
+		t.Fatalf("cap %d after a peak backlog of %d", c, peak)
+	}
+	mb.close()
+	if _, ok := mb.take(); ok {
+		t.Fatal("take on a closed empty mailbox must report false")
+	}
+}

@@ -232,9 +232,9 @@ func (m *Machine) applyInstall(inst *compact.Install) []proto.Output {
 	m.svs.Install(round, cutoff, v, base)
 	if cutoff > 0 {
 		m.tally.Trim(cutoff)
-		for k, r := range m.acked {
-			if r < cutoff {
-				delete(m.acked, k)
+		for id := range m.acked {
+			if id.round < cutoff {
+				delete(m.acked, id)
 			}
 		}
 	}

@@ -151,7 +151,7 @@ type Machine struct {
 	// Acceptor state (Alg 4).
 	accepted lattice.Set
 	safeR    int
-	acked    map[string]int // (dest,ts,round) ack broadcasts already emitted -> round
+	acked    map[ackID]struct{} // ack broadcasts already emitted
 
 	// Shared ack bookkeeping (Ack_history for both roles).
 	tally *core.AckTally
@@ -190,7 +190,7 @@ func NewUnchecked(cfg Config) *Machine {
 		svs:      core.NewRoundSVS(),
 		state:    NewRound,
 		r:        -1,
-		acked:    make(map[string]int),
+		acked:    make(map[ackID]struct{}),
 		tally:    core.NewAckTally(),
 		ck:       compact.NewTracker(cfg.Compaction),
 		pendingV: lattice.FromItems(cfg.InitialValues...),
@@ -245,19 +245,28 @@ func (m *Machine) trace(kind obs.EventKind, round int, key, detail string) {
 	})
 }
 
-func discTag(round int) string {
-	return string(strconv.AppendInt([]byte("gwts/disc/"), int64(round), 10))
+// ackID names one ack broadcast <dest, ts, round> of this acceptor.
+type ackID struct {
+	dest  ident.ProcessID
+	ts    uint32
+	round int
 }
 
-func ackTag(dest ident.ProcessID, ts uint32, round int) string {
-	b := make([]byte, 0, 32)
+// tagBuf fits the longest RBC tag, so checking a delivery's tag against
+// one built on the stack allocates nothing.
+type tagBuf [64]byte
+
+func appendDiscTag(b []byte, round int) []byte {
+	return strconv.AppendInt(append(b, "gwts/disc/"...), int64(round), 10)
+}
+
+func appendAckTag(b []byte, a ackID) []byte {
 	b = append(b, "gwts/ack/p"...)
-	b = strconv.AppendInt(b, int64(dest), 10)
+	b = strconv.AppendInt(b, int64(a.dest), 10)
 	b = append(b, '/')
-	b = strconv.AppendUint(b, uint64(ts), 10)
+	b = strconv.AppendUint(b, uint64(a.ts), 10)
 	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(round), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(a.round), 10)
 }
 
 // Start begins round 0 when there is anything to propose (Alg 3 line 11).
@@ -280,7 +289,8 @@ func (m *Machine) startRound(round int) []proto.Output {
 	if m.tracing() {
 		m.trace(obs.EvPropose, round, "", fmt.Sprintf("batch=%d proposed=%d", batch.Len(), m.proposed.Len()))
 	}
-	outs := m.peer.Broadcast(discTag(round), msg.Disclosure{Round: round, Value: batch})
+	var buf tagBuf
+	outs := m.peer.Broadcast(string(appendDiscTag(buf[:0], round)), msg.Disclosure{Round: round, Value: batch})
 	// The machine's own RBC delivery arrives through the driver; the
 	// transition to proposing happens in onDisclosure once Counter[r]
 	// reaches n-f.
@@ -348,16 +358,17 @@ func (m *Machine) onNewValue(v msg.NewValue) []proto.Output {
 // onRBCDelivery dispatches validated reliable-broadcast deliveries:
 // disclosures feed the SvS; acceptor acks feed the shared Ack_history.
 func (m *Machine) onRBCDelivery(d rbc.Delivery) []proto.Output {
+	var buf tagBuf
 	switch p := d.Payload.(type) {
 	case msg.Disclosure:
-		if d.Tag != discTag(p.Round) || p.Round < 0 {
+		if p.Round < 0 || d.Tag != string(appendDiscTag(buf[:0], p.Round)) {
 			m.rejected++
 			m.Emit(proto.RejectEvent{Proc: m.cfg.Self, From: d.Src, Kind: p.Kind(), Reason: "tag/round mismatch"})
 			return nil
 		}
 		return m.onDisclosure(d.Src, p)
 	case msg.AckB:
-		if d.Tag != ackTag(p.Dest, p.TS, p.Round) || p.Round < 0 {
+		if p.Round < 0 || d.Tag != string(appendAckTag(buf[:0], ackID{p.Dest, p.TS, p.Round})) {
 			m.rejected++
 			m.Emit(proto.RejectEvent{Proc: m.cfg.Self, From: d.Src, Kind: p.Kind(), Reason: "tag mismatch"})
 			return nil
@@ -461,15 +472,16 @@ func (m *Machine) tryProcess(p pending) (bool, []proto.Output) {
 func (m *Machine) acceptorOn(from ident.ProcessID, req msg.AckReq) []proto.Output {
 	if m.accepted.SubsetOf(req.Proposed) {
 		m.accepted = req.Proposed
-		key := ackTag(from, req.TS, req.Round)
-		if _, dup := m.acked[key]; dup {
+		id := ackID{from, req.TS, req.Round}
+		if _, dup := m.acked[id]; dup {
 			return nil // defensive: never reliable-broadcast the same tag twice
 		}
-		m.acked[key] = req.Round
+		m.acked[id] = struct{}{}
 		if m.tracing() {
 			m.trace(obs.EvAck, req.Round, from.String(), fmt.Sprintf("acc=%d", m.accepted.Len()))
 		}
-		return m.peer.Broadcast(key, msg.AckB{Accepted: m.accepted, Dest: from, TS: req.TS, Round: req.Round})
+		var buf tagBuf
+		return m.peer.Broadcast(string(appendAckTag(buf[:0], id)), msg.AckB{Accepted: m.accepted, Dest: from, TS: req.TS, Round: req.Round})
 	}
 	out := proto.Send(from, msg.Nack{Accepted: m.accepted, TS: req.TS, Round: req.Round})
 	m.accepted = m.accepted.Union(req.Proposed)

@@ -151,7 +151,6 @@ func (c *Crypto) VerifyCert(cert msg.DecidedCert) bool {
 	if len(cert.Acks) < c.quorum {
 		return false
 	}
-	seen := ident.NewSet()
 	first := cert.Acks[0]
 	reqs := make([]sig.Request, 0, len(cert.Acks))
 	for _, a := range cert.Acks {
@@ -159,9 +158,6 @@ func (c *Crypto) VerifyCert(cert msg.DecidedCert) bool {
 			return false
 		}
 		if a.Dest != first.Dest || a.TS != first.TS {
-			return false
-		}
-		if !seen.Add(a.Signer) {
 			return false
 		}
 		reqs = append(reqs, sig.Request{
@@ -175,7 +171,15 @@ func (c *Crypto) VerifyCert(cert msg.DecidedCert) bool {
 			return false
 		}
 	}
-	return seen.Len() >= c.quorum
+	// Distinctness is checked once every signer is known to hold a key:
+	// a set over raw wire IDs would size itself to a forged one.
+	seen := ident.NewSet()
+	for _, a := range cert.Acks {
+		if !seen.Add(a.Signer) {
+			return false
+		}
+	}
+	return true
 }
 
 // conflictListed reports whether key appears in any conflict of sa.
@@ -212,10 +216,8 @@ func (c *Crypto) AllSafe(values []msg.ProofValue) bool {
 			if sa.Round != pv.SV.Round || !ackLists(sa, key) || conflictListed(sa, key) {
 				return false
 			}
-			if !seen.Add(sa.Signer) {
-				return false
-			}
-			if !c.VerifySafeAck(sa) {
+			// Verify first: only a signer with a key enters the set.
+			if !c.VerifySafeAck(sa) || !seen.Add(sa.Signer) {
 				return false
 			}
 		}

@@ -6,7 +6,8 @@ package ident
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // ProcessID identifies one process of the system P = {p_0 ... p_{n-1}}.
@@ -32,11 +33,17 @@ func Range(n int) []ProcessID {
 	return ids
 }
 
-// Set is a small set of process identifiers. The zero value is empty and
-// ready to use. Sets are used for ack bookkeeping where quorum sizes are
-// counted over distinct senders.
+// Set is a set of process identifiers, kept as a bitset over the dense
+// IDs: members 0-63 live in an inline word, so a set held by value in
+// an n <= 64 cluster allocates nothing, and higher members in a slice
+// of words that grows to the largest member. Memory is proportional to
+// that member, so callers add only IDs known to belong to the system
+// (authenticated senders, verified signers), never raw wire fields. The
+// zero value is empty and ready to use. Sets are used for ack
+// bookkeeping where quorum sizes are counted over distinct senders.
 type Set struct {
-	members map[ProcessID]struct{}
+	lo uint64   // members 0..63
+	hi []uint64 // hi[i] holds members 64(i+1) .. 64(i+1)+63
 }
 
 // NewSet returns a set containing the given members.
@@ -48,49 +55,81 @@ func NewSet(members ...ProcessID) *Set {
 	return s
 }
 
-// Add inserts p and reports whether it was newly added.
-func (s *Set) Add(p ProcessID) bool {
-	if s.members == nil {
-		s.members = make(map[ProcessID]struct{})
+// word returns the word holding p and p's bit in it, growing the set
+// when grow is set; it returns nil when p is absent and grow is unset.
+func (s *Set) word(p ProcessID, grow bool) (*uint64, uint64) {
+	if p < 0 {
+		if grow {
+			panic(fmt.Sprintf("ident: %d is not a process ID", int32(p)))
+		}
+		return nil, 0
 	}
-	if _, ok := s.members[p]; ok {
+	bit := uint64(1) << (uint(p) % 64)
+	if p < 64 {
+		return &s.lo, bit
+	}
+	i := int(p)/64 - 1
+	if i >= len(s.hi) {
+		if !grow {
+			return nil, 0
+		}
+		s.hi = append(s.hi, make([]uint64, i+1-len(s.hi))...)
+	}
+	return &s.hi[i], bit
+}
+
+// Add inserts p and reports whether it was newly added. It panics on a
+// negative p.
+func (s *Set) Add(p ProcessID) bool {
+	w, bit := s.word(p, true)
+	if *w&bit != 0 {
 		return false
 	}
-	s.members[p] = struct{}{}
+	*w |= bit
 	return true
 }
 
 // Has reports membership.
 func (s *Set) Has(p ProcessID) bool {
-	_, ok := s.members[p]
-	return ok
+	w, bit := s.word(p, false)
+	return w != nil && *w&bit != 0
 }
 
 // Len returns the number of members.
-func (s *Set) Len() int { return len(s.members) }
+func (s *Set) Len() int {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Clear removes all members, retaining the allocation.
 func (s *Set) Clear() {
-	for k := range s.members {
-		delete(s.members, k)
-	}
+	s.lo = 0
+	clear(s.hi)
 }
 
 // Members returns the members in ascending order.
 func (s *Set) Members() []ProcessID {
-	out := make([]ProcessID, 0, len(s.members))
-	for m := range s.members {
-		out = append(out, m)
+	out := make([]ProcessID, 0, s.Len())
+	out = appendBits(out, s.lo, 0)
+	for i, w := range s.hi {
+		out = appendBits(out, w, 64*(i+1))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// appendBits appends base+i for every set bit i of w, lowest first.
+func appendBits(out []ProcessID, w uint64, base int) []ProcessID {
+	for w != 0 {
+		out = append(out, ProcessID(base+bits.TrailingZeros64(w)))
+		w &= w - 1
+	}
 	return out
 }
 
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
-	c := NewSet()
-	for m := range s.members {
-		c.Add(m)
-	}
-	return c
+	return &Set{lo: s.lo, hi: slices.Clone(s.hi)}
 }

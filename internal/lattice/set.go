@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -816,12 +817,15 @@ func (s Set) String() string {
 
 // Authors returns the distinct item authors in ascending order.
 func (s Set) Authors() []ident.ProcessID {
-	seen := ident.NewSet()
+	// Not an ident.Set: authors are wire fields, and a bitset would size
+	// itself to a forged one.
+	var out []ident.ProcessID
 	s.Each(func(it Item) bool {
-		seen.Add(it.Author)
+		out = append(out, it.Author)
 		return true
 	})
-	return seen.Members()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // UnionAll folds Union over the given sets.

@@ -27,12 +27,13 @@ func KeyOf(m Msg) string {
 
 // PayloadKey is the O(1)-in-history identity of a message: structural
 // fields plus the 32-byte content digest of any carried lattice set,
-// instead of the set's full serialization. The RBC layer keys echo and
-// ready tallies with it, which removes the last per-message O(history)
-// serialization from the hot path; distinct payloads map to distinct
-// keys under the same digest collision-resistance assumption the ack
-// tallies and signature preimages already rest on (DESIGN.md §4).
-// Message types without a compact structural form fall back to KeyOf.
+// instead of the set's full serialization. Faultnet fingerprints every
+// traced message with it, and the RBC layer keys any payload other than
+// Disclosure and AckB with it (those two it keys by the same fields as
+// a comparable struct); distinct payloads map to distinct keys under
+// the same digest collision-resistance assumption the ack tallies and
+// signature preimages already rest on (DESIGN.md §4). Message types
+// without a compact structural form fall back to KeyOf.
 func PayloadKey(m Msg) string {
 	switch v := m.(type) {
 	case Disclosure:

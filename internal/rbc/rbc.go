@@ -20,6 +20,7 @@ package rbc
 
 import (
 	"bgla/internal/ident"
+	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
 )
@@ -36,22 +37,80 @@ type instKey struct {
 	tag string
 }
 
-// instance tracks one (src, tag) broadcast.
+// payloadID is a payload's identity within an instance. The two
+// payloads GWTS broadcasts are keyed by their structural fields and the
+// content digest of their set, the fields msg.PayloadKey encodes, so
+// distinct payloads differ under the same digest collision-resistance
+// assumption; any other kind falls back to its PayloadKey string.
+type payloadID struct {
+	kind  msg.Kind
+	dest  ident.ProcessID
+	ts    uint32
+	round int
+	dig   lattice.Digest
+	key   string
+}
+
+func idOf(m msg.Msg) payloadID {
+	switch v := m.(type) {
+	case msg.Disclosure:
+		return payloadID{kind: msg.KindDisclosure, round: v.Round, dig: v.Value.Digest()}
+	case msg.AckB:
+		return payloadID{kind: msg.KindAckB, dest: v.Dest, ts: v.TS, round: v.Round, dig: v.Accepted.Digest()}
+	default:
+		return payloadID{kind: m.Kind(), key: msg.PayloadKey(m)}
+	}
+}
+
+// candidate is one payload seen in an instance with the processes
+// whose echo and ready counted for it.
+type candidate struct {
+	id      payloadID
+	payload msg.Msg
+	echoes  ident.Set
+	readies ident.Set
+}
+
+// instance tracks one (src, tag) broadcast. Only a process's first echo
+// and first ready count (Bracha's rule), so cands holds at most 2n
+// payloads and a linear scan finds one.
 type instance struct {
 	sentEcho  bool
 	sentReady bool
 	delivered bool
-	echoes    map[string]*ident.Set // payload key -> echoing processes
-	readies   map[string]*ident.Set // payload key -> ready processes
-	payloads  map[string]msg.Msg    // payload key -> payload
+	cands     []candidate
 }
 
-func newInstance() *instance {
-	return &instance{
-		echoes:   make(map[string]*ident.Set),
-		readies:  make(map[string]*ident.Set),
-		payloads: make(map[string]msg.Msg),
+// votes returns the ready senders of c when ready is set, else its
+// echo senders.
+func (c *candidate) votes(ready bool) *ident.Set {
+	if ready {
+		return &c.readies
 	}
+	return &c.echoes
+}
+
+// counted reports whether from's echo (ready=false) or ready already
+// counted for some payload of the instance.
+func (in *instance) counted(from ident.ProcessID, ready bool) bool {
+	for i := range in.cands {
+		if in.cands[i].votes(ready).Has(from) {
+			return true
+		}
+	}
+	return false
+}
+
+// candidate returns the entry for payload, adding it when new.
+func (in *instance) candidate(payload msg.Msg) *candidate {
+	id := idOf(payload)
+	for i := range in.cands {
+		if in.cands[i].id == id {
+			return &in.cands[i]
+		}
+	}
+	in.cands = append(in.cands, candidate{id: id, payload: payload})
+	return &in.cands[len(in.cands)-1]
 }
 
 // Peer is the reliable-broadcast endpoint of one process. It is not
@@ -65,7 +124,7 @@ type Peer struct {
 	maxTagsPerSrc int
 
 	insts      map[instKey]*instance
-	tagsPerSrc map[ident.ProcessID]int
+	tagsPerSrc []int // instances per source, kept while the cap is on
 	deliveries []Delivery
 	rejected   int
 }
@@ -74,16 +133,19 @@ type Peer struct {
 // processes tolerating f Byzantine ones.
 func NewPeer(self ident.ProcessID, n, f int) *Peer {
 	return &Peer{
-		self:       self,
-		n:          n,
-		f:          f,
-		insts:      make(map[instKey]*instance),
-		tagsPerSrc: make(map[ident.ProcessID]int),
+		self:  self,
+		n:     n,
+		f:     f,
+		insts: make(map[instKey]*instance),
 	}
 }
 
-// SetMaxTagsPerSrc enables the per-source instance cap.
-func (p *Peer) SetMaxTagsPerSrc(limit int) { p.maxTagsPerSrc = limit }
+// SetMaxTagsPerSrc enables the per-source instance cap. Call it before
+// the first Handle: instances opened earlier are not counted.
+func (p *Peer) SetMaxTagsPerSrc(limit int) {
+	p.maxTagsPerSrc = limit
+	p.tagsPerSrc = make([]int, p.n)
+}
 
 // echoQuorum is ⌊(n+f)/2⌋+1: two echo quorums intersect in at least one
 // correct process, so at most one payload per instance can reach it.
@@ -102,7 +164,8 @@ func (p *Peer) Broadcast(tag string, payload msg.Msg) []proto.Output {
 	return []proto.Output{proto.Bcast(msg.RBCSend{Src: p.self, Tag: tag, Payload: payload})}
 }
 
-// Rejected returns the count of discarded malformed/spoofed messages.
+// Rejected returns the count of discarded malformed, spoofed or
+// non-member messages.
 func (p *Peer) Rejected() int { return p.rejected }
 
 // TakeDeliveries drains buffered deliveries.
@@ -120,9 +183,9 @@ func (p *Peer) Handle(from ident.ProcessID, m msg.Msg) ([]proto.Output, bool) {
 	case msg.RBCSend:
 		return p.onSend(from, v), true
 	case msg.RBCEcho:
-		return p.onEcho(from, v), true
+		return p.onVote(from, v.Src, v.Tag, v.Payload, false), true
 	case msg.RBCReady:
-		return p.onReady(from, v), true
+		return p.onVote(from, v.Src, v.Tag, v.Payload, true), true
 	default:
 		return nil, false
 	}
@@ -132,18 +195,24 @@ func (p *Peer) inst(src ident.ProcessID, tag string) *instance {
 	k := instKey{src: src, tag: tag}
 	in, ok := p.insts[k]
 	if !ok {
-		if p.maxTagsPerSrc > 0 && p.tagsPerSrc[src] >= p.maxTagsPerSrc {
-			return nil
+		if p.maxTagsPerSrc > 0 {
+			if p.tagsPerSrc[src] >= p.maxTagsPerSrc {
+				return nil
+			}
+			p.tagsPerSrc[src]++
 		}
-		in = newInstance()
+		in = &instance{}
 		p.insts[k] = in
-		p.tagsPerSrc[src]++
 	}
 	return in
 }
 
+// member reports whether id is one of the n processes; only they
+// originate, echo or ready a broadcast.
+func (p *Peer) member(id ident.ProcessID) bool { return id >= 0 && int(id) < p.n }
+
 func (p *Peer) onSend(from ident.ProcessID, m msg.RBCSend) []proto.Output {
-	if from != m.Src || m.Payload == nil {
+	if from != m.Src || m.Payload == nil || !p.member(from) {
 		// Authenticated links: only src itself may originate its send.
 		p.rejected++
 		return nil
@@ -156,76 +225,39 @@ func (p *Peer) onSend(from ident.ProcessID, m msg.RBCSend) []proto.Output {
 	return []proto.Output{proto.Bcast(msg.RBCEcho{Src: m.Src, Tag: m.Tag, Payload: m.Payload})}
 }
 
-func (p *Peer) onEcho(from ident.ProcessID, m msg.RBCEcho) []proto.Output {
-	if m.Payload == nil {
+// onVote counts from's echo (ready=false) or ready for payload, unless
+// from already echoed (readied) in this instance: a later one, even for
+// another payload, is dropped.
+func (p *Peer) onVote(from, src ident.ProcessID, tag string, payload msg.Msg, ready bool) []proto.Output {
+	if payload == nil || !p.member(from) || !p.member(src) {
 		p.rejected++
 		return nil
 	}
-	in := p.inst(m.Src, m.Tag)
-	if in == nil || in.delivered {
-		return nil // post-delivery straggler: our ready already went out
+	in := p.inst(src, tag)
+	if in == nil || in.delivered || in.counted(from, ready) {
+		return nil // post-delivery straggler, or a repeat vote
 	}
-	key := msg.PayloadKey(m.Payload)
-	set := in.echoes[key]
-	if set == nil {
-		set = ident.NewSet()
-		in.echoes[key] = set
-		in.payloads[key] = m.Payload
-	}
-	if !set.Add(from) {
-		return nil // duplicate echo from the same process
-	}
-	return p.progress(m.Src, m.Tag, in, key)
+	c := in.candidate(payload)
+	c.votes(ready).Add(from)
+	return p.progress(src, tag, in, c)
 }
 
-func (p *Peer) onReady(from ident.ProcessID, m msg.RBCReady) []proto.Output {
-	if m.Payload == nil {
-		p.rejected++
-		return nil
-	}
-	in := p.inst(m.Src, m.Tag)
-	if in == nil || in.delivered {
-		return nil // post-delivery straggler: our ready already went out
-	}
-	key := msg.PayloadKey(m.Payload)
-	set := in.readies[key]
-	if set == nil {
-		set = ident.NewSet()
-		in.readies[key] = set
-		in.payloads[key] = m.Payload
-	}
-	if !set.Add(from) {
-		return nil
-	}
-	return p.progress(m.Src, m.Tag, in, key)
-}
-
-// progress applies the Bracha threshold rules for one payload key.
-func (p *Peer) progress(src ident.ProcessID, tag string, in *instance, key string) []proto.Output {
+// progress applies the Bracha threshold rules for one candidate.
+func (p *Peer) progress(src ident.ProcessID, tag string, in *instance, c *candidate) []proto.Output {
 	var outs []proto.Output
-	payload := in.payloads[key]
-	echoCount := 0
-	if s := in.echoes[key]; s != nil {
-		echoCount = s.Len()
-	}
-	readyCount := 0
-	if s := in.readies[key]; s != nil {
-		readyCount = s.Len()
-	}
-	if !in.sentReady && (echoCount >= p.echoQuorum() || readyCount >= p.readyAmplify()) {
+	readyCount := c.readies.Len()
+	if !in.sentReady && (c.echoes.Len() >= p.echoQuorum() || readyCount >= p.readyAmplify()) {
 		in.sentReady = true
-		outs = append(outs, proto.Bcast(msg.RBCReady{Src: src, Tag: tag, Payload: payload}))
+		outs = append(outs, proto.Bcast(msg.RBCReady{Src: src, Tag: tag, Payload: c.payload}))
 	}
 	if !in.delivered && readyCount >= p.deliverQuorum() {
 		in.delivered = true
-		p.deliveries = append(p.deliveries, Delivery{Src: src, Tag: tag, Payload: payload})
-		// The instance has served its purpose: drop the payloads and
-		// tallies (which pin history-sized sets) and keep only the
+		p.deliveries = append(p.deliveries, Delivery{Src: src, Tag: tag, Payload: c.payload})
+		// The instance has served its purpose: drop the candidates
+		// (whose payloads pin history-sized sets) and keep only the
 		// tombstone flags that deduplicate stragglers. Without this,
 		// per-round instances retain every broadcast value forever.
-		in.echoes = nil
-		in.readies = nil
-		in.payloads = nil
+		in.cands = nil
 	}
 	return outs
 }

@@ -6,6 +6,7 @@ import (
 
 	"bgla/internal/faultnet"
 	"bgla/internal/ident"
+	"bgla/internal/lattice"
 	"bgla/internal/msg"
 	"bgla/internal/proto"
 )
@@ -309,5 +310,118 @@ func TestNonRBCMessagePassedThrough(t *testing.T) {
 	_, ok := p.Handle(1, msg.Junk{})
 	if ok {
 		t.Fatal("non-RBC message must report ok=false")
+	}
+}
+
+// TestOnlyFirstEchoAndReadyCount: a Byzantine p3 echoes X and then Y
+// (and readies X, then Y) to p0 while the correct p1 and p2 vote Y. The
+// later votes of p3 are dropped (Bracha counts a process's first echo
+// and first ready per instance), so they cannot lift Y to a quorum that
+// only two correct votes plus p3 would reach.
+func TestOnlyFirstEchoAndReadyCount(t *testing.T) {
+	x, y := msg.Junk{Blob: "X"}, msg.Junk{Blob: "Y"}
+	echo := func(p *Peer, from ident.ProcessID, v msg.Msg) []proto.Output {
+		outs, _ := p.Handle(from, msg.RBCEcho{Src: 1, Tag: "t", Payload: v})
+		return outs
+	}
+	p := NewPeer(0, 4, 1) // echo quorum 3, ready amplification 2
+	echo(p, 3, x)
+	echo(p, 3, y)
+	echo(p, 1, y)
+	if outs := echo(p, 2, y); len(outs) != 0 {
+		t.Fatalf("p3's second echo counted toward Y's echo quorum: %v", outs)
+	}
+	outs := echo(p, 0, y)
+	if len(outs) != 1 || msg.KeyOf(outs[0].Msg) != msg.KeyOf(msg.RBCReady{Src: 1, Tag: "t", Payload: y}) {
+		t.Fatalf("three correct echoes of Y must send ready(Y), got %v", outs)
+	}
+
+	ready := func(p *Peer, from ident.ProcessID, v msg.Msg) []proto.Output {
+		outs, _ := p.Handle(from, msg.RBCReady{Src: 1, Tag: "t", Payload: v})
+		return outs
+	}
+	p = NewPeer(0, 4, 1)
+	ready(p, 3, x)
+	ready(p, 3, y)
+	if outs := ready(p, 1, y); len(outs) != 0 {
+		t.Fatalf("p3's second ready counted toward Y's amplification: %v", outs)
+	}
+	if outs := ready(p, 2, y); len(outs) != 1 {
+		t.Fatalf("two correct readies of Y must amplify, got %v", outs)
+	}
+}
+
+func TestNonMemberVotesRejected(t *testing.T) {
+	p := NewPeer(0, 4, 1)
+	p.Handle(4, msg.RBCSend{Src: 4, Tag: "t", Payload: msg.Junk{}})
+	p.Handle(1_000_000, msg.RBCEcho{Src: 1, Tag: "t", Payload: msg.Junk{}})
+	p.Handle(1, msg.RBCReady{Src: -1, Tag: "t", Payload: msg.Junk{}})
+	if p.Rejected() != 3 || len(p.insts) != 0 {
+		t.Fatalf("Rejected = %d, instances = %d; want 3 and 0", p.Rejected(), len(p.insts))
+	}
+}
+
+// hop is one message in flight between two peers.
+type hop struct {
+	from, to ident.ProcessID
+	m        msg.Msg
+}
+
+// runInstance builds n peers and runs one broadcast by p0 to delivery
+// at every peer, routing outputs back to back through queue (reused).
+func runInstance(n, f int, payload msg.Msg, queue []hop) []*Peer {
+	peers := make([]*Peer, n)
+	for i := range peers {
+		peers[i] = NewPeer(ident.ProcessID(i), n, f)
+	}
+	emit := func(from ident.ProcessID, outs []proto.Output) {
+		for _, o := range outs {
+			for to := range peers {
+				queue = append(queue, hop{from, ident.ProcessID(to), o.Msg})
+			}
+		}
+	}
+	emit(0, peers[0].Broadcast("t", payload))
+	for i := 0; i < len(queue); i++ {
+		h := queue[i]
+		outs, _ := peers[h.to].Handle(h.from, h.m)
+		emit(h.to, outs)
+	}
+	return peers
+}
+
+func ackPayload() msg.Msg {
+	return msg.AckB{Accepted: lattice.FromStrings(2, "a", "b", "c"), Dest: 1, TS: 1, Round: 1}
+}
+
+// TestInstanceAllocs pins the allocations of one complete instance at
+// n = 4, peer construction included: the Bracha state holds no maps
+// and keys payloads by digest, so what remains is the peers, their
+// instance records and the outputs they return.
+func TestInstanceAllocs(t *testing.T) {
+	payload := ackPayload()
+	queue := make([]hop, 0, 256)
+	got := testing.AllocsPerRun(20, func() {
+		for _, p := range runInstance(4, 1, payload, queue) {
+			if len(p.TakeDeliveries()) != 1 {
+				t.Fatal("instance not delivered everywhere")
+			}
+		}
+	})
+	const pinned = 42
+	if got > pinned {
+		t.Fatalf("one n=4 instance took %v allocations, pinned at %d", got, pinned)
+	}
+}
+
+// BenchmarkRBCInstance runs one complete broadcast at n = 4 per
+// iteration: four fresh peers, every send, echo and ready, a delivery
+// at every peer.
+func BenchmarkRBCInstance(b *testing.B) {
+	payload := ackPayload()
+	queue := make([]hop, 0, 256)
+	b.ReportAllocs()
+	for range b.N {
+		runInstance(4, 1, payload, queue)
 	}
 }
